@@ -126,9 +126,8 @@ int main(int argc, char** argv) {
               "the paper's \"strengths and limits\" framing.\n");
 
   bench::heading("apply-path ablation: direct kernels vs gate-DD multiply");
-  std::printf("%-12s %-6s %-8s %-11s %-11s %-12s %-9s %-9s\n", "workload",
-              "n", "gates", "fast (ms)", "cached(ms)", "general(ms)",
-              "speedup", "coverage");
+  std::printf("%-12s %-6s %-8s %-11s %-12s %-9s %-9s\n", "workload", "n",
+              "gates", "fast (ms)", "general(ms)", "speedup", "coverage");
   bench::rule();
   const int repeats = 3;
   struct AblationRow {
@@ -150,25 +149,22 @@ int main(int argc, char** argv) {
   for (const auto& row : ablRows) {
     const std::size_t n = row.qc.numQubits();
     const auto fast = runAblation(row.qc, bridge::ApplyMode::Fast, repeats);
-    const auto cached =
-        runAblation(row.qc, bridge::ApplyMode::Cached, repeats);
     const auto general =
         runAblation(row.qc, bridge::ApplyMode::General, repeats);
     const double speedup = fast.ms > 0. ? general.ms / fast.ms : 0.;
-    std::printf("%-12s %-6zu %-8zu %-11.3f %-11.3f %-12.3f %-9.2f %-9.2f\n",
-                row.name, n, row.qc.gateCount(), fast.ms, cached.ms,
-                general.ms, speedup, fast.coverage);
+    std::printf("%-12s %-6zu %-8zu %-11.3f %-12.3f %-9.2f %-9.2f\n",
+                row.name, n, row.qc.gateCount(), fast.ms, general.ms, speedup,
+                fast.coverage);
     std::printf("BENCH_APPLY %s_%zu {\"n\": %zu, \"gates\": %zu, "
-                "\"fastMs\": %.3f, \"cachedMs\": %.3f, \"generalMs\": %.3f, "
+                "\"fastMs\": %.3f, \"generalMs\": %.3f, "
                 "\"speedupFastVsGeneral\": %.3f, \"fastCoverage\": %.4f, "
                 "\"peakNodes\": %zu, \"resources\": %s}\n",
-                row.name, n, n, row.qc.gateCount(), fast.ms, cached.ms,
-                general.ms, speedup, fast.coverage, fast.peakNodes,
+                row.name, n, n, row.qc.gateCount(), fast.ms, general.ms,
+                speedup, fast.coverage, fast.peakNodes,
                 bench::ResourceUsage::sample().toJson().c_str());
   }
-  std::printf("\nfast = direct kernels on the state DD; cached = gate-DD "
-              "multiply with the gate-DD cache; general = gate-DD multiply "
-              "rebuilt per gate (QDD_APPLY=general).\n");
+  std::printf("\nfast = direct kernels on the state DD; general = gate-DD "
+              "multiply rebuilt per gate (QDD_APPLY=general).\n");
 
   bench::heading("functionality build: identity-skipping vs materialized "
                  "identity towers (QDD_DD_IDENTITY)");

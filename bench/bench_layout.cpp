@@ -8,7 +8,6 @@
 #include "BenchUtil.hpp"
 
 #include "qdd/bridge/DDBuilder.hpp"
-#include "qdd/complex/Simd.hpp"
 #include "qdd/dd/Package.hpp"
 #include "qdd/ir/Builders.hpp"
 
@@ -69,17 +68,12 @@ int main(int argc, char** argv) {
               "RealTable::Entry: %zu bytes\n",
               sizeof(vNode), alignof(vNode), sizeof(mNode), alignof(mNode),
               sizeof(RealTable::Entry));
-  std::printf("SIMD kernels: %s (compiled max: %s)\n",
-              simd::toString(simd::activeMode()),
-              simd::toString(simd::compiledMode()));
   {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "\"vNodeBytes\": %zu, \"vNodeAlign\": %zu, "
-                  "\"mNodeBytes\": %zu, \"mNodeAlign\": %zu, "
-                  "\"simdMode\": \"%s\"",
-                  sizeof(vNode), alignof(vNode), sizeof(mNode), alignof(mNode),
-                  simd::toString(simd::activeMode()));
+                  "\"mNodeBytes\": %zu, \"mNodeAlign\": %zu",
+                  sizeof(vNode), alignof(vNode), sizeof(mNode), alignof(mNode));
     emit("node_layout", buf);
   }
 
@@ -238,39 +232,6 @@ int main(int argc, char** argv) {
                   "\"nsPerOp\": %.1f, \"nsPerNodePair\": %.2f, \"n\": %zu",
                   ns, nsPerNode, n);
     emit(quick ? "add_uncached_10" : "add_uncached_12", buf);
-  }
-
-  // Cross-validation: the active SIMD kernels and the scalar fallback must
-  // land on pointer-identical canonical roots (table canonicity turns any
-  // numeric drift into a different node, so root equality is exact).
-  {
-    const std::size_t n = 10;
-    const auto qft = ir::builders::qft(n);
-    const auto grover = ir::builders::grover(n, (1ULL << n) - 2);
-    bool match = true;
-    for (const auto* qc : {&qft, &grover}) {
-      Package pkg(n);
-      vEdge simdState = pkg.makeZeroState(n);
-      vEdge scalarState = pkg.makeZeroState(n);
-      for (const auto& op : *qc) {
-        simdState = bridge::applyOperation(*op, n, simdState, pkg,
-                                           bridge::ApplyMode::Fast, nullptr);
-        simd::ScopedScalarOverride scalarOnly;
-        scalarState = bridge::applyOperation(*op, n, scalarState, pkg,
-                                             bridge::ApplyMode::Fast, nullptr);
-        if (!(simdState == scalarState)) {
-          match = false;
-          break;
-        }
-      }
-    }
-    std::printf("SIMD vs scalar canonical-root cross-validation: %s\n",
-                match ? "match" : "MISMATCH");
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "\"rootsMatch\": %s, \"mode\": \"%s\"",
-                  match ? "true" : "false",
-                  simd::toString(simd::activeMode()));
-    emit("simd_cross_validation", buf);
   }
 
   return 0;

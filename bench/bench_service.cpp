@@ -18,16 +18,11 @@
 // incident log wired). check_bench_service.py gates the tracing-on p50
 // within 10% of tracing-off.
 //
-// Two network-core phases ride along:
-//   * `threaded_c1` — the same single-client workload against a
-//     thread-per-connection server; check_bench_service.py gates the
-//     reactor's steps_c1 p50 within 10% of it (the reactor must not tax
-//     the fast path).
-//   * `idle_spill` — creates a fleet of Bell sessions (10k full /
-//     1.5k quick) under a small resident budget, force-spills the rest,
-//     and reports the marginal RSS per spilled idle session plus 50
-//     post-restore touches. check_bench_service.py gates the RSS per
-//     idle session at 4 KiB and zero errors end to end.
+// A spill-tier phase rides along: `idle_spill` creates a fleet of Bell
+// sessions (10k full / 1.5k quick) under a small resident budget,
+// force-spills the rest, and reports the marginal RSS per spilled idle
+// session plus 50 post-restore touches. check_bench_service.py gates the
+// RSS per idle session at 4 KiB and zero errors end to end.
 
 #include "BenchUtil.hpp"
 
@@ -223,28 +218,6 @@ RunRecord tracingPhase(bool tracing, std::size_t requests) {
   return record;
 }
 
-/// Single-client run against a thread-per-connection server, same
-/// workload as steps_c1. The p50 of this phase is the parity baseline
-/// for the reactor path.
-RunRecord threadedPhase(std::size_t requests) {
-  service::ServiceMetrics metrics;
-  service::ApiOptions apiOpts;
-  apiOpts.maxSessions = 4;
-  service::Api api(apiOpts, metrics);
-  service::Router router;
-  api.install(router);
-  service::ServerOptions serverOpts;
-  serverOpts.workers = 2;
-  serverOpts.net = service::NetMode::Threaded;
-  service::HttpServer server(serverOpts, router, metrics);
-  server.setIncidentLog(&api.incidents());
-  server.start();
-  auto record = runLoad(server.port(), 1, requests);
-  server.drain();
-  server.stop();
-  return record;
-}
-
 struct SpillRecord {
   std::size_t sessions = 0;
   std::size_t spilled = 0;
@@ -381,17 +354,9 @@ int main(int argc, char** argv) {
               tracingOn.p50Ms, tracingOn.p95Ms, tracingOn.errors);
   bench::rule();
 
-  // parity baseline: the legacy thread-per-connection path, one client
-  bench::heading("qdd::service thread-per-connection baseline (1 client)");
-  const auto threaded = threadedPhase(requestsPerClient);
-  std::printf("%8s %10zu %10.3f %10.3f %8zu\n", "threaded",
-              threaded.requests, threaded.p50Ms, threaded.p95Ms,
-              threaded.errors);
-  bench::rule();
-
   // server shaped like `qdd-tool serve` defaults, sized for the widest
-  // run; the reactor front-end is pinned explicitly so the QDD_NET env
-  // cannot silently turn the sweep into a threaded run
+  // run; the epoll front-end is pinned explicitly so the QDD_NET env
+  // cannot silently turn the sweep into a poll run
   service::ServiceMetrics metrics;
   service::ApiOptions apiOpts;
   apiOpts.maxSessions = 2 * CLIENT_COUNTS.back();
@@ -434,7 +399,6 @@ int main(int argc, char** argv) {
 
   printRecord("tracing_off", tracingOff, cores);
   printRecord("tracing_on", tracingOn, cores);
-  printRecord("threaded_c1", threaded, cores);
   for (const auto& record : records) {
     char label[32];
     std::snprintf(label, sizeof(label), "steps_c%zu", record.clients);
@@ -479,7 +443,6 @@ int main(int argc, char** argv) {
 
   server.drain();
   server.stop();
-  totalErrors +=
-      tracingOff.errors + tracingOn.errors + threaded.errors + spill.errors;
+  totalErrors += tracingOff.errors + tracingOn.errors + spill.errors;
   return totalErrors == 0 ? 0 : 1;
 }

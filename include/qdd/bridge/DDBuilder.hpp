@@ -16,25 +16,14 @@ enum class ApplyMode : std::uint8_t {
   /// gates and SWAP; the gate-DD cache serves the two-qubit unitaries the
   /// kernels do not cover. The default.
   Fast,
-  /// Matrix-DD multiply for every gate, but gate DDs come from the
-  /// GateDDCache instead of being rebuilt per application.
-  Cached,
   /// The original makeGateDD + multiply path, bypassing kernels and cache —
   /// the ablation baseline benches and tests compare against.
   General,
-  /// Intra-circuit parallelism (docs/PARALLELISM.md): gates go through the
-  /// cached matrix-DD multiply path (like Cached — the in-place kernels have
-  /// nothing to fork), and `QDD_APPLY=parallel` additionally makes every
-  /// newly constructed Package concurrent (sharded tables), so a forker
-  /// attached via exec::attachSharedForker runs multiply/add subproblems on
-  /// the shared pool.
-  Parallel,
 };
 
 [[nodiscard]] std::string toString(ApplyMode mode);
-/// Parses the QDD_APPLY environment variable ("fast" | "cached" |
-/// "general" | "parallel"); unset or unrecognized values yield
-/// ApplyMode::Fast.
+/// Parses the QDD_APPLY environment variable ("fast" | "general"); unset or
+/// unrecognized values yield ApplyMode::Fast.
 [[nodiscard]] ApplyMode applyModeFromEnv();
 /// Process-wide apply mode: initialized from QDD_APPLY on first use,
 /// overridable for ablation runs.

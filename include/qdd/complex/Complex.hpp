@@ -125,17 +125,6 @@ public:
     RealTable::decRef(Complex::aligned(c.i));
   }
 
-  /// Atomic variants for concurrent packages (see RealTable::incRefAtomic):
-  /// forked subtasks pin weights from many threads at once.
-  static void incRefAtomic(const Complex& c) noexcept {
-    RealTable::incRefAtomic(Complex::aligned(c.r));
-    RealTable::incRefAtomic(Complex::aligned(c.i));
-  }
-  static void decRefAtomic(const Complex& c) noexcept {
-    RealTable::decRefAtomic(Complex::aligned(c.r));
-    RealTable::decRefAtomic(Complex::aligned(c.i));
-  }
-
   std::size_t garbageCollect() { return reals.garbageCollect(); }
 
 private:

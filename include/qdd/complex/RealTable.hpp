@@ -62,29 +62,6 @@ public:
   /// inserting a new one if no entry lies within the tolerance.
   Entry* lookup(double val);
 
-  /// Switches the table between the serial fast path and the concurrent one
-  /// (used by `QDD_APPLY=parallel` packages): bucket heads are then read
-  /// with acquire loads and new entries published head-first with a
-  /// compare-and-swap, re-walking the bucket on CAS failure so two workers
-  /// canonicalizing the same value race to one winner (the loser's entry
-  /// goes back to the pool). Bucket-array growth is deferred to
-  /// `growIfNeeded()` at quiescent points — CAS publication pins the array.
-  /// Must itself be called at a quiescent point.
-  void setConcurrent(bool on) noexcept {
-    concurrent = on;
-    pool.setConcurrent(on);
-  }
-  [[nodiscard]] bool isConcurrent() const noexcept { return concurrent; }
-
-  /// Performs any bucket-array growth deferred by concurrent-mode lookups.
-  /// Must be called at a quiescent point (the package calls it after every
-  /// parallel fork/join region).
-  void growIfNeeded() {
-    while (numEntries > table.size()) {
-      grow();
-    }
-  }
-
   [[nodiscard]] double tolerance() const noexcept { return tol; }
   void setTolerance(double t) noexcept { tol = t; }
 
@@ -97,9 +74,6 @@ public:
     return numCollisions;
   }
   [[nodiscard]] std::size_t rehashes() const noexcept { return numRehashes; }
-  [[nodiscard]] std::size_t casRetries() const noexcept {
-    return numCasRetries;
-  }
   [[nodiscard]] std::size_t bucketCount() const noexcept {
     return table.size();
   }
@@ -108,13 +82,6 @@ public:
 
   static void incRef(Entry* e) noexcept;
   static void decRef(Entry* e) noexcept;
-
-  /// Relaxed-atomic reference counting for concurrent packages: forked DD
-  /// subtasks pin weights of freshly inserted nodes from many threads at
-  /// once. Counts are only *consulted* at quiescent GC points, so relaxed
-  /// ordering suffices.
-  static void incRefAtomic(Entry* e) noexcept;
-  static void decRefAtomic(Entry* e) noexcept;
 
   /// Removes all entries with a zero reference count. Returns the number of
   /// collected entries. Pointers to collected entries become invalid; the
@@ -154,9 +121,6 @@ private:
   std::vector<Entry*> table = std::vector<Entry*>(INITIAL_BUCKETS, nullptr);
   mem::MemoryManager<Entry> pool;
 
-  /// Concurrent-mode lookup: acquire chain walks + CAS head insertion.
-  Entry* lookupConcurrent(double val);
-
   double tol;
   std::size_t numEntries = 0;
   std::size_t peakEntries = 0;
@@ -164,9 +128,7 @@ private:
   std::size_t numHits = 0;
   std::size_t numCollisions = 0;
   std::size_t numRehashes = 0;
-  std::size_t numCasRetries = 0;
   std::size_t gcThreshold = GC_INITIAL_THRESHOLD;
-  bool concurrent = false;
 };
 
 } // namespace qdd

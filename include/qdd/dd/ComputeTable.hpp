@@ -1,14 +1,11 @@
 #pragma once
 
-#include "qdd/common/SpinLock.hpp"
 #include "qdd/complex/Complex.hpp"
 #include "qdd/complex/ComplexValue.hpp"
 #include "qdd/dd/Node.hpp"
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -49,16 +46,6 @@ struct WeightPair {
 /// of clearing all tables wholesale. Chunk storage is never returned to the
 /// OS, so probing a stale pointer's generation field is memory-safe.
 ///
-/// Concurrency (`setConcurrent`, used by `QDD_APPLY=parallel` packages):
-/// the cache stays *lossy* — workers may overwrite each other's entries and
-/// a miss is always correct — so all it needs is per-slot atomicity, which
-/// a stripe of spinlocks provides (the stripe is selected by the same
-/// fingerprint bits as the slot, so one slot always maps to one lock).
-/// Results are returned by value (`lookup` copies under the stripe lock)
-/// because a pointer into the table could be overwritten by a racing insert
-/// the moment the lock is dropped. Counters switch to relaxed atomics;
-/// `setEpoch`/`clear` remain quiescent-only operations.
-///
 /// Freshness epoch shortcut: objects are only ever freed or recycled during
 /// garbage collection / shrinking, and both advance the package generation.
 /// So an entry written in the *current* generation cannot reference anything
@@ -82,47 +69,35 @@ public:
     bool valid = false;
   };
 
-  /// Enables stripe locking for concurrent lookups/inserts. Must be called
-  /// at a quiescent point (normally once, at package construction).
-  void setConcurrent(bool on) {
-    concurrent = on;
-    if (on && !stripes) {
-      stripes = std::make_unique<SpinLock[]>(NSTRIPES);
-    }
-  }
-
   void insert(const LeftOperand& left, const RightOperand& right,
               const Result& result, std::uint32_t generation) {
     const std::uint32_t fp = fingerprint(left, right);
-    auto& slot = table[fp & (NBUCKETS - 1)];
-    if (concurrent) {
-      {
-        const std::lock_guard<SpinLock> guard(stripeFor(fp));
-        slot = Entry{left, right, result, generation, fp, true};
-      }
-      __atomic_fetch_add(&numInserts, 1, __ATOMIC_RELAXED);
-      return;
-    }
-    slot = Entry{left, right, result, generation, fp, true};
+    table[fp & (NBUCKETS - 1)] =
+        Entry{left, right, result, generation, fp, true};
     ++numInserts;
   }
 
   /// On hit, copies the cached result into `out` and returns true. Entries
   /// whose operands or result reference pointers allocated after the entry
-  /// was written are rejected as stale. Copy-out (rather than a pointer
-  /// into the table) keeps hits valid even if a racing insert overwrites
-  /// the slot immediately afterwards.
+  /// was written are rejected as stale.
   bool lookup(const LeftOperand& left, const RightOperand& right,
               Result& out) {
     const std::uint32_t fp = fingerprint(left, right);
     const auto& slot = table[fp & (NBUCKETS - 1)];
-    if (concurrent) {
-      __atomic_fetch_add(&numLookups, 1, __ATOMIC_RELAXED);
-      const std::lock_guard<SpinLock> guard(stripeFor(fp));
-      return lookupSlot(slot, left, right, fp, out);
-    }
     ++numLookups;
-    return lookupSlot(slot, left, right, fp, out);
+    if (!slot.valid || slot.hash != fp || !(slot.left == left) ||
+        !(slot.right == right)) {
+      return false;
+    }
+    if (slot.gen != epoch &&
+        (!isFresh(slot.left, slot.gen) || !isFresh(slot.right, slot.gen) ||
+         !isFresh(slot.result, slot.gen))) {
+      ++numStaleRejections;
+      return false;
+    }
+    ++numHits;
+    out = slot.result;
+    return true;
   }
 
   /// Hints the slot for `(left, right)` into cache. The recursive operations
@@ -171,40 +146,6 @@ public:
   }
 
 private:
-  static constexpr std::size_t NSTRIPES = 256;
-
-  /// Stripe for a fingerprint. The stripe index is a pure function of the
-  /// slot index (low fingerprint bits), so every access to one slot always
-  /// takes the same lock.
-  [[nodiscard]] SpinLock& stripeFor(std::uint32_t fp) const noexcept {
-    return stripes[fp & (NSTRIPES - 1)];
-  }
-
-  void bump(std::size_t& counter) noexcept {
-    if (concurrent) {
-      __atomic_fetch_add(&counter, 1, __ATOMIC_RELAXED);
-    } else {
-      ++counter;
-    }
-  }
-
-  bool lookupSlot(const Entry& slot, const LeftOperand& left,
-                  const RightOperand& right, std::uint32_t fp, Result& out) {
-    if (!slot.valid || slot.hash != fp || !(slot.left == left) ||
-        !(slot.right == right)) {
-      return false;
-    }
-    if (slot.gen != epoch &&
-        (!isFresh(slot.left, slot.gen) || !isFresh(slot.right, slot.gen) ||
-         !isFresh(slot.result, slot.gen))) {
-      bump(numStaleRejections);
-      return false;
-    }
-    bump(numHits);
-    out = slot.result;
-    return true;
-  }
-
   static std::size_t hashOperand(const void* p) noexcept {
     return detail::ptrHash(p);
   }
@@ -260,8 +201,6 @@ private:
   std::size_t numHits = 0;
   std::size_t numInserts = 0;
   std::size_t numStaleRejections = 0;
-  bool concurrent = false;
-  std::unique_ptr<SpinLock[]> stripes;
 };
 
 } // namespace qdd

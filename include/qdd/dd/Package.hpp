@@ -5,13 +5,11 @@
 #include "qdd/dd/ComputeTable.hpp"
 #include "qdd/dd/GateMatrix.hpp"
 #include "qdd/dd/Node.hpp"
-#include "qdd/dd/TaskForker.hpp"
 #include "qdd/dd/UniqueTable.hpp"
 #include "qdd/mem/MemoryManager.hpp"
 #include "qdd/mem/StatsRegistry.hpp"
 
 #include <array>
-#include <cassert>
 #include <complex>
 #include <cstdint>
 #include <map>
@@ -47,31 +45,6 @@ IdentityMode globalIdentityMode();
 void setGlobalIdentityMode(IdentityMode mode);
 const char* toString(IdentityMode mode) noexcept;
 
-/// Whether a package's tables are safe for concurrent access from forked DD
-/// subtasks (docs/PARALLELISM.md, "Intra-circuit parallelism").
-enum class ConcurrencyMode : std::uint8_t {
-  /// Single-threaded package: unlocked tables, plain counters. The default.
-  Serial,
-  /// Shared-safe package: sharded unique tables, striped compute caches,
-  /// CAS-published real-table entries, atomic reference counts. Still fully
-  /// usable from a single thread; installing a TaskForker (`setForker`)
-  /// additionally makes `multiply`/`add` fork child subproblems onto it.
-  /// One *user* thread drives the package at a time — concurrency happens
-  /// only inside a fork/join region the package itself opens.
-  Concurrent,
-};
-
-/// Parses "parallel" (from QDD_APPLY) to Concurrent; anything else Serial.
-ConcurrencyMode parseConcurrencyMode(const char* value) noexcept;
-/// Mode selected by the QDD_APPLY environment variable (Concurrent iff
-/// QDD_APPLY=parallel).
-ConcurrencyMode concurrencyModeFromEnv();
-/// Process-wide default used by newly constructed packages (initialized from
-/// QDD_APPLY; the mode of an existing Package never changes).
-ConcurrencyMode globalConcurrencyMode();
-void setGlobalConcurrencyMode(ConcurrencyMode mode);
-const char* toString(ConcurrencyMode mode) noexcept;
-
 /// Normalization scheme applied when creating nodes (paper Sec. III-A and
 /// footnote 3).
 enum class NormalizationScheme : std::uint8_t {
@@ -99,14 +72,7 @@ public:
   explicit Package(std::size_t nqubits,
                    NormalizationScheme scheme = NormalizationScheme::Largest,
                    double tolerance = RealTable::DEFAULT_TOLERANCE,
-                   IdentityMode identityMode = globalIdentityMode(),
-                   ConcurrencyMode concurrencyMode = globalConcurrencyMode());
-
-  /// Unique-table shards of a Concurrent package (serial packages use 1).
-  static constexpr std::size_t CONCURRENT_SHARDS = 16;
-  /// Default number of recursion levels `multiply`/`add` fork when a
-  /// TaskForker is installed (2^d-ish leaf tasks per operation).
-  static constexpr int DEFAULT_FORK_DEPTH = 3;
+                   IdentityMode identityMode = globalIdentityMode());
 
   Package(const Package&) = delete;
   Package& operator=(const Package&) = delete;
@@ -131,35 +97,6 @@ public:
   /// and a terminal matrix edge represents w * I on all remaining levels.
   [[nodiscard]] IdentityMode identityMode() const noexcept { return idMode; }
   ComplexTable& complexTable() noexcept { return cTable; }
-
-  /// Table concurrency mode, fixed at construction.
-  [[nodiscard]] ConcurrencyMode concurrencyMode() const noexcept {
-    return concurrency;
-  }
-  [[nodiscard]] bool isConcurrent() const noexcept {
-    return concurrency == ConcurrencyMode::Concurrent;
-  }
-
-  // --- intra-circuit parallelism (docs/PARALLELISM.md) ------------------
-
-  /// Installs (or, with nullptr, removes) the fork/join engine. Only legal
-  /// on a Concurrent package and at a quiescent point. While a forker is
-  /// installed, `multiply`/`add` fork the top `forkDepth` recursion levels'
-  /// child subproblems onto it; results are pointer-identical to the serial
-  /// ones (same canonical tables, same per-child arithmetic). The forker
-  /// must outlive every subsequent operation.
-  void setForker(TaskForker* f, int forkDepth = DEFAULT_FORK_DEPTH) noexcept {
-    assert((f == nullptr || isConcurrent()) &&
-           "setForker requires a Concurrent package");
-    taskForker = f;
-    forkBudget = forkDepth < 0 ? 0 : forkDepth;
-  }
-  [[nodiscard]] TaskForker* forker() const noexcept { return taskForker; }
-  /// True while a fork/join region is open (forked subtasks may be in
-  /// flight). Garbage collection refuses to run in that state.
-  [[nodiscard]] bool inParallelRegion() const noexcept {
-    return parallelDepth > 0;
-  }
 
   /// Enables/disables operation memoization (footnote 4). Intended for
   /// ablation studies only — see bench_ablation_tables.
@@ -201,7 +138,7 @@ public:
   /// Shared tail of mulWeights / mulWeights3 once exact-one factors are
   /// elided down to two non-trivial ones: canonicalizes the operand order
   /// (complex multiplication commutes bit-exactly), probes the memo, and
-  /// falls back to the SIMD multiply + RealTable intern.
+  /// falls back to the complex multiply + RealTable intern.
   Complex mulWeightsCached(const Complex& a, const Complex& b);
 
   // --- states ------------------------------------------------------------
@@ -416,80 +353,19 @@ private:
                             std::size_t colOff, std::size_t blockDim,
                             Qubit level);
 
-  // Fork-budget recursion bodies (docs/PARALLELISM.md). `fork` is the
-  // remaining number of recursion levels allowed to fork child subproblems
-  // onto the installed TaskForker; 0 is the serial path and is what every
-  // call compiles down to on a Serial package. The public wrappers open a
-  // ParallelRegion and seed the budget.
-  vEdge add(const vEdge& x, const vEdge& y, int fork);
-  mEdge add(const mEdge& x, const mEdge& y, int fork);
-  vEdge multiply2(mNode* x, vNode* y, int fork);
-  mEdge multiply2(mNode* x, mNode* y, int fork);
+  vEdge multiply2(mNode* x, vNode* y);
+  mEdge multiply2(mNode* x, mNode* y);
   /// One result child of the matrix-vector (resp. matrix-matrix) multiply
-  /// recursion: the sum over j of x_{i j} * y_j terms. Factored out so the
-  /// forked tasks and the serial loop run the exact same arithmetic (the
-  /// canonicity anchor: identical per-child FP sequences).
-  vEdge multVecChildSum(mNode* x, vNode* y, bool xAligned, std::size_t i,
-                        int fork);
+  /// recursion: the sum over j of x_{i j} * y_j terms.
+  vEdge multVecChildSum(mNode* x, vNode* y, bool xAligned, std::size_t i);
   mEdge multMatChildSum(mNode* x, mNode* y, bool xAligned, bool yAligned,
-                        std::size_t i, std::size_t k, int fork);
+                        std::size_t i, std::size_t k);
   /// One result child of the add recursion (operand child k, weights
-  /// composed), shared by the forked tasks and the serial loop.
-  vEdge addVecChild(const vEdge& a, const vEdge& b, std::size_t k, int fork);
+  /// composed).
+  vEdge addVecChild(const vEdge& a, const vEdge& b, std::size_t k);
   mEdge addMatChild(const mEdge& a, const mEdge& b, Qubit va, Qubit vb,
-                    Qubit v, std::size_t k, int fork);
+                    Qubit v, std::size_t k);
   ComplexValue innerProduct2(vNode* x, vNode* y);
-
-  /// RAII guard the public operation wrappers open: marks the package as
-  /// inside a fork/join region (blocking GC) when parallel execution is
-  /// possible, hands out the fork budget, and on close performs the
-  /// real-table growth deferred by concurrent lookups. Nested operations
-  /// (`multiply` inside `makeSWAPDD`, recursion through public `add`) see
-  /// `parallelDepth > 0` and stay serial within the outer region's tasks.
-  class ParallelRegion {
-  public:
-    explicit ParallelRegion(Package& package) noexcept
-        : pkg(package), active(package.taskForker != nullptr &&
-                               package.isConcurrent() &&
-                               package.parallelDepth == 0) {
-      if (active) {
-        ++pkg.parallelDepth;
-        ++pkg.parallelStats.regions;
-      }
-    }
-    ParallelRegion(const ParallelRegion&) = delete;
-    ParallelRegion& operator=(const ParallelRegion&) = delete;
-    ~ParallelRegion() {
-      if (active) {
-        --pkg.parallelDepth;
-        // Quiescent again: perform deferred bucket-array growth so the next
-        // region starts with a healthy load factor.
-        pkg.cTable.realTable().growIfNeeded();
-      }
-    }
-    [[nodiscard]] int budget() const noexcept {
-      return active ? pkg.forkBudget : 0;
-    }
-
-  private:
-    Package& pkg;
-    bool active;
-  };
-  friend class ParallelRegion;
-
-  /// Polled at fork points; throws OperationCancelled when the forker
-  /// reports cancellation. The counter tallies *observations* (each forked
-  /// task that noticed the cancellation), updated atomically because tasks
-  /// observe it concurrently.
-  void checkCancelled() {
-    if (taskForker != nullptr && taskForker->cancelled()) {
-      __atomic_fetch_add(&parallelStats.cancelled, 1, __ATOMIC_RELAXED);
-      throw OperationCancelled{};
-    }
-  }
-  void noteForks(std::size_t n) noexcept {
-    __atomic_fetch_add(&parallelStats.forks, n, __ATOMIC_RELAXED);
-  }
 
   void getVectorRec(const vEdge& e, ComplexValue amp, std::uint64_t index,
                     std::vector<std::complex<double>>& out);
@@ -513,18 +389,7 @@ private:
   std::size_t nqubits;
   NormalizationScheme scheme;
   IdentityMode idMode;
-  ConcurrencyMode concurrency;
   bool computeTablesEnabled = true;
-
-  /// Fork/join engine (nullptr = always serial) and per-operation fork
-  /// budget. Only mutated at quiescent points via setForker.
-  TaskForker* taskForker = nullptr;
-  int forkBudget = DEFAULT_FORK_DEPTH;
-  /// > 0 while inside a fork/join region. Only the owning user thread
-  /// mutates it (regions open/close at the public operation boundary), so a
-  /// plain int suffices.
-  int parallelDepth = 0;
-  mem::ParallelStats parallelStats;
 
   ComplexTable cTable;
   // Node storage. Declared before the unique tables, which hold references

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "qdd/common/SpinLock.hpp"
 #include "qdd/dd/Node.hpp"
 #include "qdd/mem/MemoryManager.hpp"
 #include "qdd/mem/StatsRegistry.hpp"
@@ -19,62 +18,41 @@ namespace qdd {
 /// equivalence checking).
 ///
 /// Node storage lives in a `mem::MemoryManager` owned by the package; the
-/// table itself only manages per-level slot arrays. Each level is split into
-/// `shardCount` *shards*, each a flat open-addressed array of
-/// `{node, hash32}` slots probed linearly: the stored 32-bit fingerprint
-/// filters almost every mismatching probe without dereferencing the
-/// candidate node, so a miss costs sequential scans of one small slot array
-/// instead of a pointer chase per chain link. Shards start small and double
-/// (rehash) when their load factor reaches 3/4, so table capacity follows
-/// the workload instead of being fixed at compile time.
-///
-/// Sharding is the concurrency story (docs/PARALLELISM.md): the shard index
-/// is taken from the *high* bits of the fingerprint (the low bits seed the
-/// probe sequence), and in concurrent mode — `shardCount > 1`, used by
-/// `QDD_APPLY=parallel` packages — every insert-or-lookup runs under that
-/// shard's spinlock. Workers recursing into disjoint parts of the hash
-/// space therefore almost never contend (contended acquisitions are counted
-/// and exported as `qdd_dd_unique_table_shard_contention`). Serial tables
-/// are constructed with one shard and never touch the lock. Canonicity is
-/// per (level, shard): a node's fingerprint decides its shard, so two
-/// structurally equal candidates always meet in the same shard.
+/// table itself only manages per-level slot arrays. Each level is a flat
+/// open-addressed array of `{node, hash32}` slots probed linearly: the
+/// stored 32-bit fingerprint filters almost every mismatching probe without
+/// dereferencing the candidate node, so a miss costs a sequential scan of
+/// one small slot array instead of a pointer chase per chain link. Levels
+/// start small and double (rehash) when their load factor reaches 3/4, so
+/// table capacity follows the workload instead of being fixed at compile
+/// time.
 ///
 /// There are no tombstones, ever: deletion happens only wholesale during
-/// garbage collection / shrinking, which rebuilds each touched shard's slot
+/// garbage collection / shrinking, which rebuilds each touched level's slot
 /// array from the survivors (their stored fingerprints are still valid —
 /// GC never mutates a surviving node's children). Garbage collection is
-/// reference-count based, must only run at quiescent points (no forked
-/// subtask in flight — the package enforces this barrier), and sweeps
-/// levels top-down so that cascading releases complete in a single pass
-/// (children are always at strictly lower levels).
+/// reference-count based and sweeps levels top-down so that cascading
+/// releases complete in a single pass (children are always at strictly
+/// lower levels).
 template <class Node> class UniqueTable {
 public:
-  // Small initial capacity per shard: typical DDs keep most levels sparse,
-  // and busy shards double their slot array on demand (load factor >= 3/4).
-  static constexpr std::size_t INITIAL_BUCKETS = 1U << 6U; // per shard
+  // Small initial capacity per level: typical DDs keep most levels sparse,
+  // and busy levels double their slot array on demand (load factor >= 3/4).
+  static constexpr std::size_t INITIAL_BUCKETS = 1U << 6U; // per level
   static constexpr std::size_t GC_INITIAL_THRESHOLD = 131072;
-  static constexpr std::size_t MAX_SHARDS = 64;
 
-  /// `shardCount` selects the concurrency mode: 1 (default) builds a serial
-  /// table with no locking anywhere; >1 (rounded up to a power of two,
-  /// capped at MAX_SHARDS) builds a lock-striped table safe for concurrent
-  /// `lookup` calls from pool workers.
-  UniqueTable(mem::MemoryManager<Node>& manager, std::size_t nvars,
-              std::size_t shards = 1)
-      : mgr(&manager), shardCount(roundUpShards(shards)) {
-    growLevels(nvars);
-  }
+  UniqueTable(mem::MemoryManager<Node>& manager, std::size_t nvars)
+      : mgr(&manager), levels(nvars) {}
 
   UniqueTable(const UniqueTable&) = delete;
   UniqueTable& operator=(const UniqueTable&) = delete;
 
   /// Grows the table to `nvars` levels. Shrinking without a release callback
   /// is not allowed (nodes at removed levels would leak their children).
-  /// Must only be called at quiescent points.
   void resize(std::size_t nvars) {
     assert(nvars >= levels.size() &&
            "shrinking requires a release-children callback");
-    growLevels(nvars);
+    levels.resize(nvars);
   }
 
   /// Resizes to `nvars` levels. When shrinking, every node at a removed
@@ -86,30 +64,22 @@ public:
   template <class ReleaseChildren>
   void resize(std::size_t nvars, ReleaseChildren&& releaseChildren) {
     for (std::size_t level = nvars; level < levels.size(); ++level) {
-      for (auto& shard : levels[level].shards) {
-        for (auto& slot : shard.slots) {
-          if (slot.node != nullptr) {
-            releaseChildren(slot.node);
-            mgr->release(slot.node);
-            slot.node = nullptr;
-            assert(numNodes > 0);
-            --numNodes;
-          }
+      for (auto& slot : levels[level].slots) {
+        if (slot.node != nullptr) {
+          releaseChildren(slot.node);
+          mgr->release(slot.node);
+          slot.node = nullptr;
+          assert(numNodes > 0);
+          --numNodes;
         }
-        shard.entries = 0;
       }
     }
-    if (nvars < levels.size()) {
-      levels.erase(levels.begin() + static_cast<std::ptrdiff_t>(nvars),
-                   levels.end());
-    }
-    growLevels(nvars);
+    levels.resize(nvars);
   }
 
   [[nodiscard]] std::size_t numLevels() const noexcept {
     return levels.size();
   }
-  [[nodiscard]] std::size_t numShards() const noexcept { return shardCount; }
 
   /// Returns a fresh node (generation-stamped by the memory manager) to be
   /// filled by the caller and passed to `lookup`.
@@ -123,83 +93,92 @@ public:
   /// table. If an equivalent node exists, `candidate` is recycled and the
   /// existing node returned together with `inserted = false`. Otherwise the
   /// candidate is inserted and returned with `inserted = true`.
-  ///
-  /// Concurrent tables run the probe under the owning shard's spinlock, so
-  /// any number of workers may call this simultaneously; publication of the
-  /// returned node's fields is ordered by the lock.
   Node* lookup(Node* candidate, bool& inserted) {
     const auto levelIdx = static_cast<std::size_t>(candidate->v);
     assert(levelIdx < levels.size());
     // The fingerprint seeds the probe sequence (not the full hash), so a
     // GC/rehash rebuild — which only has the fingerprint — reproduces the
-    // exact same probe order. Its high bits select the shard.
+    // exact same probe order.
     const std::uint32_t fp = detail::fold32(hashNode(*candidate));
-    Shard& shard = levels[levelIdx].shards[shardIndex(fp)];
-    const bool locked = shardCount > 1;
-    if (locked && !shard.lock.try_lock()) {
-      shard.lock.lock();
-      ++shard.contention;
+    Level& level = levels[levelIdx];
+    ++numLookups;
+    // Grow before probing so the insert position found below stays valid.
+    if ((level.entries + 1) * 4 >= level.slots.size() * 3) {
+      growLevel(level);
     }
-    Node* result = lookupInShard(shard, candidate, fp, inserted);
-    if (locked) {
-      shard.lock.unlock();
+    const std::size_t mask = level.slots.size() - 1;
+    std::size_t idx = fp & mask;
+    std::size_t probe = 1;
+    for (;; idx = (idx + 1) & mask, ++probe) {
+      Slot& slot = level.slots[idx];
+      if (slot.node == nullptr) {
+        break;
+      }
+      if (slot.hash == fp && nodesStructurallyEqual(*slot.node, *candidate)) {
+        ++numHits;
+        noteProbe(probe);
+        inserted = false;
+        // Candidates are never published to compute caches, so recycling
+        // them mid-epoch is safe.
+        mgr->release(candidate);
+        return slot.node;
+      }
     }
-    if (inserted) {
-      bumpNodeCount();
-    } else {
-      // Candidates are never published to compute caches, so recycling
-      // them mid-epoch is safe. Released outside the shard lock — the
-      // memory manager has its own (optional) lock.
-      mgr->release(candidate);
+    noteProbe(probe);
+    if (probe > 1) {
+      ++numCollisions;
     }
-    return result;
+    level.slots[idx] = Slot{candidate, fp};
+    ++level.entries;
+    ++numNodes;
+    peakNodes = std::max(peakNodes, numNodes);
+    inserted = true;
+    return candidate;
   }
 
   /// Sweeps all levels top-down, removing (and recycling) nodes with zero
   /// reference count. The caller must decrement child references via the
-  /// provided callback when a node dies, must have advanced the memory
-  /// manager's allocation generation beforehand, and must guarantee
-  /// quiescence (no concurrent lookups — the package's fork/join barrier).
-  /// Touched shards are rebuilt from the survivors, so the probe sequences
-  /// stay tombstone-free. Returns the number of collected nodes.
+  /// provided callback when a node dies and must have advanced the memory
+  /// manager's allocation generation beforehand. Touched levels are rebuilt
+  /// from the survivors, so the probe sequences stay tombstone-free. Returns
+  /// the number of collected nodes.
   template <class ReleaseChildren>
   std::size_t garbageCollect(ReleaseChildren&& releaseChildren) {
     std::size_t collected = 0;
     std::vector<Slot> survivors;
     for (auto levelIdx = levels.size(); levelIdx-- > 0;) {
-      for (auto& shard : levels[levelIdx].shards) {
-        if (shard.entries == 0) {
-          continue;
-        }
-        std::size_t dead = 0;
-        for (const auto& slot : shard.slots) {
-          if (slot.node != nullptr && slot.node->ref == 0) {
-            ++dead;
-          }
-        }
-        if (dead == 0) {
-          continue;
-        }
-        survivors.clear();
-        survivors.reserve(shard.entries - dead);
-        for (auto& slot : shard.slots) {
-          if (slot.node == nullptr) {
-            continue;
-          }
-          if (slot.node->ref == 0) {
-            releaseChildren(slot.node);
-            mgr->release(slot.node);
-          } else {
-            survivors.push_back(slot);
-          }
-          slot = Slot{};
-        }
-        for (const auto& slot : survivors) {
-          reinsert(shard, slot);
-        }
-        shard.entries = survivors.size();
-        collected += dead;
+      Level& level = levels[levelIdx];
+      if (level.entries == 0) {
+        continue;
       }
+      std::size_t dead = 0;
+      for (const auto& slot : level.slots) {
+        if (slot.node != nullptr && slot.node->ref == 0) {
+          ++dead;
+        }
+      }
+      if (dead == 0) {
+        continue;
+      }
+      survivors.clear();
+      survivors.reserve(level.entries - dead);
+      for (auto& slot : level.slots) {
+        if (slot.node == nullptr) {
+          continue;
+        }
+        if (slot.node->ref == 0) {
+          releaseChildren(slot.node);
+          mgr->release(slot.node);
+        } else {
+          survivors.push_back(slot);
+        }
+        slot = Slot{};
+      }
+      for (const auto& slot : survivors) {
+        reinsert(level, slot);
+      }
+      level.entries = survivors.size();
+      collected += dead;
     }
     numNodes -= collected;
     if (collected < numNodes / 8) {
@@ -215,66 +194,39 @@ public:
   /// Number of nodes currently stored in the table.
   [[nodiscard]] std::size_t size() const noexcept { return numNodes; }
   [[nodiscard]] std::size_t peakSize() const noexcept { return peakNodes; }
-  [[nodiscard]] std::size_t lookups() const noexcept {
-    return sumShards([](const Shard& s) { return s.lookups; });
-  }
-  [[nodiscard]] std::size_t hits() const noexcept {
-    return sumShards([](const Shard& s) { return s.hits; });
-  }
+  [[nodiscard]] std::size_t lookups() const noexcept { return numLookups; }
+  [[nodiscard]] std::size_t hits() const noexcept { return numHits; }
   [[nodiscard]] std::size_t collisions() const noexcept {
-    return sumShards([](const Shard& s) { return s.collisions; });
+    return numCollisions;
   }
-  [[nodiscard]] std::size_t longestChain() const noexcept {
-    std::size_t longest = 0;
-    for (const auto& level : levels) {
-      for (const auto& shard : level.shards) {
-        longest = std::max(longest, shard.maxProbe);
-      }
-    }
-    return longest;
-  }
-  [[nodiscard]] std::size_t probes() const noexcept {
-    return sumShards([](const Shard& s) { return s.probes; });
-  }
-  [[nodiscard]] std::size_t rehashes() const noexcept {
-    return sumShards([](const Shard& s) { return s.rehashes; });
-  }
-  [[nodiscard]] std::size_t shardContention() const noexcept {
-    return sumShards([](const Shard& s) { return s.contention; });
-  }
+  [[nodiscard]] std::size_t longestChain() const noexcept { return maxProbe; }
+  [[nodiscard]] std::size_t probes() const noexcept { return numProbes; }
+  [[nodiscard]] std::size_t rehashes() const noexcept { return numRehashes; }
   /// Nodes alive at this moment (stored + handed out via getNode).
   [[nodiscard]] std::size_t allocations() const noexcept {
     return mgr->live();
   }
-  /// Total slot count across all levels and shards.
+  /// Total slot count across all levels.
   [[nodiscard]] std::size_t bucketCount() const noexcept {
-    return sumShards([](const Shard& s) { return s.slots.size(); });
+    std::size_t total = 0;
+    for (const auto& level : levels) {
+      total += level.slots.size();
+    }
+    return total;
   }
 
-  /// Aggregates per-shard counters into one snapshot by merging one
-  /// per-shard UniqueTableStats at a time via `mem::UniqueTableStats::merge`
-  /// — the same order-independent accumulation used across worker packages,
-  /// so shard scheduling never changes the reported totals.
   [[nodiscard]] mem::UniqueTableStats stats() const noexcept {
     mem::UniqueTableStats s;
-    for (const auto& level : levels) {
-      for (const auto& shard : level.shards) {
-        mem::UniqueTableStats piece;
-        piece.entries = shard.entries;
-        piece.lookups = shard.lookups;
-        piece.hits = shard.hits;
-        piece.collisions = shard.collisions;
-        piece.longestChain = shard.maxProbe;
-        piece.probes = shard.probes;
-        piece.buckets = shard.slots.size();
-        piece.rehashes = shard.rehashes;
-        piece.shardContention = shard.contention;
-        s.merge(piece);
-      }
-    }
+    s.entries = numNodes;
     s.peakEntries = peakNodes;
+    s.lookups = numLookups;
+    s.hits = numHits;
+    s.collisions = numCollisions;
+    s.longestChain = maxProbe;
+    s.probes = numProbes;
     s.levels = levels.size();
-    s.shards = shardCount;
+    s.buckets = bucketCount();
+    s.rehashes = numRehashes;
     s.memory = mgr->stats();
     return s;
   }
@@ -282,11 +234,9 @@ public:
   /// Visits every node currently in the table.
   template <class Visitor> void forEach(Visitor&& visit) const {
     for (const auto& level : levels) {
-      for (const auto& shard : level.shards) {
-        for (const auto& slot : shard.slots) {
-          if (slot.node != nullptr) {
-            visit(slot.node);
-          }
+      for (const auto& slot : level.slots) {
+        if (slot.node != nullptr) {
+          visit(slot.node);
         }
       }
     }
@@ -298,140 +248,51 @@ private:
     std::uint32_t hash = 0; ///< fold32 fingerprint of the full node hash
   };
 
-  /// One lock stripe of one level. The counters live here — updated under
-  /// the shard lock in concurrent mode — so hot-path bookkeeping never
-  /// bounces a table-global cache line between workers.
-  struct Shard {
+  struct Level {
     std::vector<Slot> slots = std::vector<Slot>(INITIAL_BUCKETS);
     std::size_t entries = 0;
-    std::size_t lookups = 0;
-    std::size_t hits = 0;
-    std::size_t collisions = 0;
-    std::size_t maxProbe = 0;
-    std::size_t probes = 0;
-    std::size_t rehashes = 0;
-    std::size_t contention = 0;
-    SpinLock lock;
   };
 
-  struct Level {
-    explicit Level(std::size_t shardCount) : shards(shardCount) {}
-    std::vector<Shard> shards;
-  };
-
-  static std::size_t roundUpShards(std::size_t requested) noexcept {
-    std::size_t n = 1;
-    while (n < requested && n < MAX_SHARDS) {
-      n *= 2;
-    }
-    return n;
-  }
-
-  /// High fingerprint bits pick the shard (the low bits seed the in-shard
-  /// probe), via the multiplicative range map fp * count / 2^32.
-  [[nodiscard]] std::size_t shardIndex(std::uint32_t fp) const noexcept {
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(fp) * shardCount) >> 32U);
-  }
-
-  void growLevels(std::size_t nvars) {
-    levels.reserve(nvars);
-    while (levels.size() < nvars) {
-      levels.emplace_back(shardCount);
-    }
-  }
-
-  Node* lookupInShard(Shard& shard, Node* candidate, std::uint32_t fp,
-                      bool& inserted) {
-    ++shard.lookups;
-    // Grow before probing so the insert position found below stays valid.
-    if ((shard.entries + 1) * 4 >= shard.slots.size() * 3) {
-      growShard(shard);
-    }
-    const std::size_t mask = shard.slots.size() - 1;
-    std::size_t idx = fp & mask;
-    std::size_t probe = 1;
-    for (;; idx = (idx + 1) & mask, ++probe) {
-      Slot& slot = shard.slots[idx];
-      if (slot.node == nullptr) {
-        break;
-      }
-      if (slot.hash == fp && nodesStructurallyEqual(*slot.node, *candidate)) {
-        ++shard.hits;
-        shard.probes += probe;
-        shard.maxProbe = std::max(shard.maxProbe, probe);
-        inserted = false;
-        return slot.node;
-      }
-    }
-    shard.probes += probe;
-    shard.maxProbe = std::max(shard.maxProbe, probe);
-    if (probe > 1) {
-      ++shard.collisions;
-    }
-    shard.slots[idx] = Slot{candidate, fp};
-    ++shard.entries;
-    inserted = true;
-    return candidate;
-  }
-
-  /// Maintains the table-global node count. In concurrent mode the counter
-  /// is shared between workers, so it advances with relaxed atomics (exact
-  /// ordering is irrelevant — it only feeds GC pressure and stats).
-  void bumpNodeCount() noexcept {
-    if (shardCount > 1) {
-      const std::size_t now = __atomic_add_fetch(&numNodes, 1, __ATOMIC_RELAXED);
-      std::size_t peak = __atomic_load_n(&peakNodes, __ATOMIC_RELAXED);
-      while (now > peak &&
-             !__atomic_compare_exchange_n(&peakNodes, &peak, now, true,
-                                          __ATOMIC_RELAXED, __ATOMIC_RELAXED)) {
-      }
-    } else {
-      ++numNodes;
-      peakNodes = std::max(peakNodes, numNodes);
-    }
-  }
-
-  template <class Fn> std::size_t sumShards(Fn&& fn) const noexcept {
-    std::size_t total = 0;
-    for (const auto& level : levels) {
-      for (const auto& shard : level.shards) {
-        total += fn(shard);
-      }
-    }
-    return total;
+  void noteProbe(std::size_t probe) noexcept {
+    numProbes += probe;
+    maxProbe = std::max(maxProbe, probe);
   }
 
   /// Inserts a slot known not to be present (rehash/GC rebuild): probes to
   /// the first empty slot. Only the fingerprint's low bits seed the probe,
   /// which is fine — the fingerprint already mixes the full hash.
-  static void reinsert(Shard& shard, const Slot& slot) noexcept {
-    const std::size_t mask = shard.slots.size() - 1;
+  static void reinsert(Level& level, const Slot& slot) noexcept {
+    const std::size_t mask = level.slots.size() - 1;
     std::size_t idx = slot.hash & mask;
-    while (shard.slots[idx].node != nullptr) {
+    while (level.slots[idx].node != nullptr) {
       idx = (idx + 1) & mask;
     }
-    shard.slots[idx] = slot;
+    level.slots[idx] = slot;
   }
 
-  void growShard(Shard& shard) {
-    std::vector<Slot> old = std::move(shard.slots);
-    shard.slots.assign(old.size() * 2, Slot{});
+  void growLevel(Level& level) {
+    std::vector<Slot> old = std::move(level.slots);
+    level.slots.assign(old.size() * 2, Slot{});
     for (const auto& slot : old) {
       if (slot.node != nullptr) {
-        reinsert(shard, slot);
+        reinsert(level, slot);
       }
     }
-    ++shard.rehashes;
+    ++numRehashes;
   }
 
   mem::MemoryManager<Node>* mgr;
-  std::size_t shardCount;
   std::vector<Level> levels;
 
   std::size_t numNodes = 0;
   std::size_t peakNodes = 0;
   std::size_t gcThreshold = GC_INITIAL_THRESHOLD;
+  std::size_t numLookups = 0;
+  std::size_t numHits = 0;
+  std::size_t numCollisions = 0;
+  std::size_t numProbes = 0;
+  std::size_t maxProbe = 0;
+  std::size_t numRehashes = 0;
 };
 
 } // namespace qdd

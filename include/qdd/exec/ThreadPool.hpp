@@ -1,17 +1,9 @@
 #pragma once
 
-// qdd::exec — task-level and fork/join parallelism for the DD engine.
-//
-// Two modes of use:
-//  * Task level (`parallelFor`/`submit`): every worker owns its own
-//    dd::Package, tasks are whole circuits / shot chunks / verification
-//    directions, and nothing inside the DD engine is shared.
-//  * Fork/join (`fork`/`waitAndWork` on a TaskGroup): a single concurrent
-//    dd::Package (sharded unique tables, striped compute caches, CAS real
-//    table — see docs/PARALLELISM.md) forks independent DD subproblems onto
-//    the same pool and joins them. Joins are *help-first*: a thread waiting
-//    on a group runs queued tasks instead of blocking, so fork/join nesting
-//    is safe even on a 1-worker pool and pool tasks may themselves fork.
+// qdd::exec — task-level parallelism for the DD engine (`parallelFor`/
+// `submit`): every worker owns its own dd::Package, tasks are whole
+// circuits / shot chunks / verification directions, and nothing inside the
+// DD engine is shared.
 
 #include "qdd/obs/TraceContext.hpp"
 
@@ -28,32 +20,6 @@
 
 namespace qdd::exec {
 
-class ThreadPool;
-
-/// Join handle for a set of forked tasks (see ThreadPool::fork). One group
-/// tracks any number of tasks; `waitAndWork` blocks (helping) until all of
-/// them have completed and rethrows the first exception any of them threw.
-/// A group may be reused for a new fork round after a successful wait, but
-/// must never be destroyed with tasks still pending (waitAndWork's
-/// postcondition guarantees none are).
-class TaskGroup {
-public:
-  TaskGroup() = default;
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Number of forked-but-uncompleted tasks (racy snapshot).
-  [[nodiscard]] std::size_t pendingCount() const noexcept {
-    return pending.load(std::memory_order_acquire);
-  }
-
-private:
-  friend class ThreadPool;
-  std::atomic<std::size_t> pending{0};
-  std::mutex errorMutex;
-  std::exception_ptr error;
-};
-
 /// Work-stealing thread pool. Tasks of a batch are dealt round-robin onto
 /// per-worker deques; each worker pops its own deque LIFO and, when empty,
 /// steals FIFO from its siblings — so a worker stuck behind one long task
@@ -67,7 +33,7 @@ private:
 /// and-forget closures dealt round-robin onto the same deques (and stolen
 /// like any other task). They have no completion handle — callers needing
 /// one track it themselves (the qdd::service HTTP server counts in-flight
-/// connections this way). Detached tasks still queued when the destructor
+/// requests this way). Detached tasks still queued when the destructor
 /// runs are executed before the workers exit.
 class ThreadPool {
 public:
@@ -108,38 +74,11 @@ public:
   /// parallelFor and with other submit calls.
   void submit(std::function<void()> task);
 
-  /// Enqueues one task belonging to `group` (round-robin across the worker
-  /// deques, stolen like any other task). The caller joins with
-  /// `waitAndWork(group)`. The submitter's TraceContext is captured and
-  /// installed around execution, exactly as for detached tasks, so spans
-  /// from forked DD subproblems stay attributed to the request that forked
-  /// them. Safe to call from pool workers (that is the point: recursive DD
-  /// operations fork subproblems from inside pool tasks).
-  void fork(TaskGroup& group, std::function<void()> task);
-
-  /// Blocks until every task forked into `group` has completed — but
-  /// *helps* instead of parking: while the group is pending, the calling
-  /// thread runs queued pool tasks (its own deque first if it is a pool
-  /// worker, otherwise scanning all deques). This makes nested fork/join
-  /// deadlock-free: a pool task waiting on subtasks executes them itself if
-  /// no sibling picks them up, even on a 1-worker pool. Rethrows the first
-  /// exception thrown by a group task (after all tasks completed).
-  void waitAndWork(TaskGroup& group);
-
-  /// Runs one queued task on the calling thread if any is available.
-  /// Pool workers take from their own deque first, then steal; external
-  /// threads scan all deques but skip parallelFor batch tasks (batch bodies
-  /// receive a workerId that must index per-worker resources). Returns
-  /// whether a task was run.
-  bool tryRunOneTask();
-
   /// Scheduling counters (cumulative over the pool's lifetime).
   struct Stats {
     std::vector<std::size_t> executedPerWorker;
     std::size_t steals = 0;         ///< tasks taken from a sibling's deque
     std::size_t detachedErrors = 0; ///< exceptions escaping detached tasks
-    std::size_t forked = 0;         ///< tasks enqueued via fork()
-    std::size_t helpedExternal = 0; ///< tasks run by non-worker helpers
   };
   [[nodiscard]] Stats stats() const;
 
@@ -155,23 +94,21 @@ private:
 
   /// One queued unit of work: task `index` of `batch` (whose owner keeps
   /// the Batch alive until every task completed); or — with `batch ==
-  /// nullptr` — the closure `fn`, either detached (`group == nullptr`) or
-  /// belonging to a TaskGroup the forker joins on. `trace` is the
-  /// submitter's TraceContext, captured at enqueue time and installed
-  /// around the task's execution, so spans recorded by pool work stay
-  /// attributed to the request that fanned it out (and an invalid context
-  /// *clears* the worker's slot, so no task ever inherits identity from
-  /// whatever ran on the worker before).
+  /// nullptr` — the detached closure `fn`. `trace` is the submitter's
+  /// TraceContext, captured at enqueue time and installed around the task's
+  /// execution, so spans recorded by pool work stay attributed to the
+  /// request that fanned it out (and an invalid context *clears* the
+  /// worker's slot, so no task ever inherits identity from whatever ran on
+  /// the worker before).
   struct Item {
     Batch* batch = nullptr;
     std::size_t index = 0;
     std::function<void()> fn;
-    TaskGroup* group = nullptr;
     obs::TraceContext trace;
   };
 
   /// One worker's deque. A plain mutex-guarded deque: tasks here are whole
-  /// circuits / connections (micro- to milliseconds), so queue overhead is
+  /// circuits / requests (micro- to milliseconds), so queue overhead is
   /// noise and the simple design is trivially race-free.
   struct WorkerQueue {
     std::mutex mutex;
@@ -179,16 +116,10 @@ private:
     std::atomic<std::size_t> executed{0};
   };
 
-  /// Sentinel worker index for threads that are not pool workers (helpers
-  /// inside waitAndWork). Their executed count lands in helpedExternal.
-  static constexpr std::size_t EXTERNAL_THREAD = ~std::size_t{0};
-
   void workerLoop(std::size_t id);
   bool popLocal(std::size_t id, Item& item);
   bool stealTask(std::size_t thief, Item& item);
-  bool takeExternal(Item& item);
   void runTask(Item&& item, std::size_t worker);
-  void enqueue(Item&& item);
 
   std::vector<std::unique_ptr<WorkerQueue>> queues;
   std::vector<std::thread> threads;
@@ -202,8 +133,6 @@ private:
   std::atomic<std::size_t> stealCount{0};
   std::atomic<std::size_t> submitCursor{0}; ///< round-robin deal of submits
   std::atomic<std::size_t> detachedErrorCount{0};
-  std::atomic<std::size_t> forkCount{0};
-  std::atomic<std::size_t> externalHelped{0};
 };
 
 } // namespace qdd::exec

@@ -1,13 +1,12 @@
 #pragma once
 
-#include "qdd/common/SpinLock.hpp"
 #include "qdd/mem/StatsRegistry.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace qdd::mem {
@@ -34,12 +33,6 @@ inline constexpr std::uint32_t FREED_GENERATION = 0xffffffffU;
 /// Chunks are never returned to the system while the manager lives, so
 /// dereferencing a stale pointer is memory-safe (though logically invalid) —
 /// exactly what the lazy cache-invalidation scheme relies on.
-///
-/// Thread safety: serial by default. `setConcurrent(true)` (used by
-/// `QDD_APPLY=parallel` packages) guards `get`/`release` with a spinlock so
-/// pool workers can allocate candidates concurrently; the critical section
-/// is a couple of pointer writes, which is exactly the regime a spinlock is
-/// for. Generation changes and stats snapshots remain quiescent-only.
 template <class T> class MemoryManager {
 public:
   static constexpr std::size_t INITIAL_CHUNK_SIZE = 2048;
@@ -50,34 +43,10 @@ public:
   MemoryManager(const MemoryManager&) = delete;
   MemoryManager& operator=(const MemoryManager&) = delete;
 
-  /// Toggles lock protection of `get`/`release`. Must be called at a
-  /// quiescent point (normally once, at package construction).
-  void setConcurrent(bool on) noexcept { concurrent = on; }
-  [[nodiscard]] bool isConcurrent() const noexcept { return concurrent; }
-
   /// Returns an object stamped with the current generation. Contents other
   /// than `next`/`gen` are unspecified (recycled objects keep their old
   /// fields); the caller initializes them.
   T* get() {
-    if (concurrent) {
-      const std::lock_guard<SpinLock> guard(lock);
-      return getUnlocked();
-    }
-    return getUnlocked();
-  }
-
-  /// Returns an object to the free list and marks it FREED.
-  void release(T* t) noexcept {
-    if (concurrent) {
-      const std::lock_guard<SpinLock> guard(lock);
-      releaseUnlocked(t);
-      return;
-    }
-    releaseUnlocked(t);
-  }
-
-private:
-  T* getUnlocked() {
     if (freeList != nullptr) {
       T* t = freeList;
       freeList = t->next;
@@ -101,7 +70,8 @@ private:
     return t;
   }
 
-  void releaseUnlocked(T* t) noexcept {
+  /// Returns an object to the free list and marks it FREED.
+  void release(T* t) noexcept {
     t->next = freeList;
     t->gen = FREED_GENERATION;
     freeList = t;
@@ -109,7 +79,6 @@ private:
     --liveObjects;
   }
 
-public:
   /// Advances the allocation generation. Must be called before freed objects
   /// from an older generation can be handed out again with observable effect
   /// (i.e. at every garbage collection / shrink), so stale cache entries are
@@ -146,9 +115,6 @@ private:
 
   std::size_t liveObjects = 0;
   std::size_t peakLive = 0;
-
-  bool concurrent = false;
-  SpinLock lock;
 };
 
 } // namespace qdd::mem

@@ -32,15 +32,11 @@ struct UniqueTableStats {
   std::size_t levels = 0;
   std::size_t buckets = 0;  ///< total slots across all levels
   std::size_t rehashes = 0; ///< per-level slot-array doublings
-  std::size_t shards = 0;   ///< lock-striped shards per level (1 = serial)
-  /// Contended shard-lock acquisitions (a `try_lock` that had to fall back
-  /// to spinning). Only advances for concurrent-mode tables.
-  std::size_t shardContention = 0;
   AllocatorStats memory;
 
-  /// Accumulates another table's counters: sums, except `longestChain`,
-  /// `levels`, and `shards` which take the maximum — so merging any number
-  /// of shard/package snapshots in any order yields the same totals.
+  /// Accumulates another table's counters: sums, except `longestChain` and
+  /// `levels`, which take the maximum — so merging any number of package
+  /// snapshots in any order yields the same totals.
   void merge(const UniqueTableStats& other) noexcept;
 
   [[nodiscard]] double hitRatio() const noexcept {
@@ -70,9 +66,6 @@ struct RealTableStats {
   std::size_t collisions = 0;
   std::size_t buckets = 0;
   std::size_t rehashes = 0;
-  /// Failed compare-and-swap bucket publishes (another worker inserted into
-  /// the same bucket first). Only advances for concurrent-mode tables.
-  std::size_t casRetries = 0;
   AllocatorStats memory;
 
   /// Accumulates another table's counters (sums).
@@ -148,17 +141,6 @@ struct GcStats {
   void merge(const GcStats& other) noexcept;
 };
 
-/// Fork/join counters of the intra-circuit parallel apply/multiply engine
-/// (`QDD_APPLY=parallel`). Zero for serial packages.
-struct ParallelStats {
-  std::size_t forks = 0;   ///< DD subproblems forked onto the exec pool
-  std::size_t regions = 0; ///< top-level parallel operations (fork/join trees)
-  std::size_t cancelled = 0; ///< operations aborted by a cancellation token
-
-  /// Accumulates another engine's counters (sums).
-  void merge(const ParallelStats& other) noexcept;
-};
-
 /// Compact per-step snapshot cheap enough to record after every applied
 /// operation (sessions expose a history of these so the paper's "inspect
 /// intermediate DDs" workflow can also show table pressure).
@@ -186,7 +168,6 @@ struct StatsRegistry {
   RealTableStats reals;
   std::vector<ComputeTableStats> computeTables;
   ApplyPathStats apply;
-  ParallelStats parallel;
   GcStats gc;
 
   /// Looks up a compute table snapshot by name; nullptr if absent.

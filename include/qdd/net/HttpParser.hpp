@@ -1,11 +1,7 @@
 #pragma once
 
-// qdd::net — incremental HTTP/1.1 request parsing. One state machine shared
-// by both network paths: the reactor feeds it bytes as they arrive on a
-// non-blocking socket (Reactor.hpp), and the blocking thread-per-connection
-// path wraps it in a recv() loop (service::readHttpRequest). Keeping a
-// single parser means both `--net` modes accept byte-for-byte the same
-// request language.
+// qdd::net — incremental HTTP/1.1 request parsing. The reactor feeds it
+// bytes as they arrive on a non-blocking socket (Reactor.hpp).
 //
 // The parser is pull-based and buffer-owned: callers append received bytes
 // to a std::string and call tryParseHttpRequest until it stops returning

@@ -1,8 +1,9 @@
 #pragma once
 
-// qdd::service — HTTP/1.1 wire layer. Dependency-free (POSIX sockets only):
-// request parsing with hard header/body limits, response serialization, and
-// a small blocking client used by tests, benchmarks, and scripted drivers.
+// qdd::service — HTTP/1.1 wire types. Dependency-free (POSIX sockets only):
+// request/response structs, response serialization, and a small blocking
+// client used by tests, benchmarks, and scripted drivers. Requests are
+// parsed by the reactor's incremental parser (qdd/net/HttpParser.hpp).
 //
 // Supported surface (all the session API needs, nothing more): methods with
 // a Content-Length body or none, keep-alive and close, query strings.
@@ -36,7 +37,7 @@ struct HttpResponse {
   bool close = false; ///< force Connection: close
   /// Extra headers emitted verbatim (e.g. the traceparent echo). The
   /// framing headers (Content-Type/-Length, Connection) stay owned by
-  /// writeHttpResponse and cannot be overridden here.
+  /// serializeHttpResponse and cannot be overridden here.
   std::vector<std::pair<std::string, std::string>> headers;
 
   static HttpResponse json(int status, std::string body) {
@@ -50,30 +51,10 @@ struct HttpResponse {
 /// Standard reason phrase for the status codes the service emits.
 [[nodiscard]] const char* statusReason(int status);
 
-/// Outcome of reading one request off a connection.
-enum class ReadOutcome : std::uint8_t {
-  Ok,            ///< request parsed into `out`
-  Closed,        ///< peer closed (or timed out) before any request byte
-  Malformed,     ///< unparseable request -> respond 400 and close
-  TooLarge,      ///< headers or Content-Length over limit -> 431/413, close
-  Unsupported,   ///< Transfer-Encoding etc. -> 501, close
-};
-
-/// Reads and parses one HTTP/1.1 request from `fd`. `maxBodyBytes` bounds
-/// the declared Content-Length (the body of an over-limit request is never
-/// read — the caller answers 413 and closes). Uses `carry` to preserve
-/// pipelined bytes between keep-alive requests on the same connection.
-ReadOutcome readHttpRequest(int fd, HttpRequest& out, std::string& carry,
-                            std::size_t maxBodyBytes);
-
 /// Serializes `response` into on-the-wire bytes (status line, framing
-/// headers, body). Shared by the blocking writer below and the reactor
-/// path, which queues the bytes on the connection's write buffer.
+/// headers, body), which the reactor queues on the connection's write
+/// buffer.
 [[nodiscard]] std::string serializeHttpResponse(const HttpResponse& response);
-
-/// Serializes and sends `response` on `fd` (Content-Length framing).
-/// Returns false when the peer is gone.
-bool writeHttpResponse(int fd, const HttpResponse& response);
 
 /// Minimal blocking HTTP client bound to one host/port: opens the
 /// connection lazily, keeps it alive across requests, reconnects once when

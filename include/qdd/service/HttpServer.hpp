@@ -1,25 +1,18 @@
 #pragma once
 
-// qdd::service — the embedded HTTP server, in two network modes.
+// qdd::service — the embedded HTTP server. A qdd::net::Reactor owns every
+// socket on one event-loop thread (epoll, or poll(2) where epoll is
+// missing); only *complete* requests are dispatched to the qdd::exec pool,
+// and the serialized response is queued back through the reactor for
+// writeout. Slow or silent clients never pin a worker — concurrency is
+// bounded by memory (one buffered connection each), not by worker count,
+// and `workers` sizes CPU parallelism only.
 //
-// Event-driven (default, NetMode::Epoll / Poll): a qdd::net::Reactor owns
-// every socket on one event-loop thread; only *complete* requests are
-// dispatched to the qdd::exec pool, and the serialized response is queued
-// back through the reactor for writeout. Slow or silent clients never pin
-// a worker — concurrency is bounded by memory (one buffered connection
-// each), not by worker count, and `workers` sizes CPU parallelism only.
-//
-// Threaded (NetMode::Threaded, `--net=threaded` fallback): a dedicated
-// accept thread hands each connection to the pool as one detached task that
-// loops keep-alive requests. One open connection holds one pool worker, so
-// `workers` bounds concurrently open connections; the idle timeout
-// (SO_RCVTIMEO) returns workers held by silent keep-alive clients.
-//
-// Both modes share the robustness knobs — body-size cap (413 before the
-// body is read), idle-connection timeout, graceful drain (in-flight
-// requests finish, everything new gets 503 + close), hard stop — and the
-// exact same per-request pipeline (tracing, metrics, incidents, access
-// log) via processRequest(). docs/SERVICE.md discusses sizing.
+// Robustness knobs: body-size cap (413 before the body is read),
+// idle-connection timeout, graceful drain (in-flight requests finish,
+// everything new gets 503 + close), hard stop. Every request runs the same
+// pipeline (tracing, metrics, incidents, access log) via processRequest().
+// docs/SERVICE.md discusses sizing.
 
 #include "qdd/exec/ThreadPool.hpp"
 #include "qdd/net/Reactor.hpp"
@@ -33,30 +26,25 @@
 #include <fstream>
 #include <memory>
 #include <mutex>
-#include <set>
-#include <thread>
 
 namespace qdd::service {
 
 class IncidentLog;
 
 /// Network front-end selection. Epoll falls back to Poll at runtime when
-/// the platform has no epoll; Threaded keeps the legacy
-/// thread-per-connection path (one release, see docs/SERVICE.md).
-enum class NetMode : std::uint8_t { Epoll, Poll, Threaded };
+/// the platform has no epoll.
+enum class NetMode : std::uint8_t { Epoll, Poll };
 
 /// Default NetMode, overridable via the QDD_NET environment variable
-/// ("epoll" | "poll" | "threaded"); unset or unrecognized values mean
-/// Epoll. Lets CI run the whole service suite in either mode.
+/// ("epoll" | "poll"); unset or unrecognized values mean Epoll. Lets CI
+/// run the whole service suite against either backend.
 [[nodiscard]] NetMode defaultNetMode();
 
 struct ServerOptions {
   std::string bindAddress = "127.0.0.1";
   /// 0 picks an ephemeral port; read the actual one via port().
   std::uint16_t port = 0;
-  /// Pool workers. Event-driven modes: CPU parallelism for request
-  /// handlers. Threaded mode: also the maximum concurrently open
-  /// connections (0: hardware).
+  /// Pool workers: CPU parallelism for request handlers (0: hardware).
   std::size_t workers = 4;
   std::size_t maxBodyBytes = 1U << 20U;
   /// Network front-end (see NetMode); QDD_NET overrides the default.
@@ -103,18 +91,17 @@ public:
   /// true when idle was reached.
   bool awaitIdle(int timeoutMs);
 
-  /// Stops accepting, shuts down all open connections, joins the accept
-  /// thread, and drains the pool. Idempotent.
+  /// Stops accepting, closes all open connections, joins the event loop,
+  /// and waits for in-flight requests. Idempotent.
   void stop();
 
   [[nodiscard]] std::size_t openConnections() const;
 
   /// Effective network mode after any epoll->poll fallback (valid after
-  /// start()): "epoll", "poll", or "threaded".
+  /// start()): "epoll" or "poll".
   [[nodiscard]] const char* netName() const noexcept;
 
-  /// Connections reclaimed by the reactor's idle sweep (0 in threaded
-  /// mode, where idle connections time out via SO_RCVTIMEO instead).
+  /// Connections reclaimed by the reactor's idle sweep.
   [[nodiscard]] std::uint64_t idleClosedConnections() const noexcept {
     return reactor ? reactor->idleClosedTotal() : 0;
   }
@@ -124,17 +111,13 @@ public:
   void setIncidentLog(IncidentLog* log) noexcept { incidents = log; }
 
 private:
-  void acceptLoop();
-  void handleConnection(int fd);
-  /// The full request pipeline shared by both network modes: drain check,
-  /// tracing scope, router dispatch, metrics, incident capture, access
-  /// log. Transport concerns (write, close-after) stay with the caller.
+  /// The full request pipeline: drain check, tracing scope, router
+  /// dispatch, metrics, incident capture, access log. Transport concerns
+  /// (write, close-after) stay with the caller.
   HttpResponse processRequest(const HttpRequest& request);
   /// Maps a transport-level parse failure to its error response
-  /// (400/413/501) and counts it. Shared by both network modes.
+  /// (400/413/501) and counts it.
   HttpResponse parseFailureResponse(net::ParseStatus status);
-  void trackOpen(int fd);
-  void trackClosed(int fd);
   void logAccess(const obs::TraceContext& ctx, const HttpRequest& request,
                  const std::string& routeKey, int status, double ms,
                  std::size_t bytesOut);
@@ -147,11 +130,9 @@ private:
   std::uint16_t boundPort = 0;
   std::atomic<bool> stopping{false};
   std::atomic<bool> drainingFlag{false};
-  std::thread acceptor;
 
-  mutable std::mutex connMutex;
+  std::mutex connMutex;
   std::condition_variable connCv;
-  std::set<int> openFds;
   std::size_t inFlight = 0; ///< requests currently executing a handler
 
   IncidentLog* incidents = nullptr;
@@ -164,7 +145,7 @@ private:
   /// safe no-op).
   std::unique_ptr<net::Reactor> reactor;
 
-  /// Declared last on purpose: the pool destructor joins the connection
+  /// Declared last on purpose: the pool destructor joins the request
   /// workers, and they touch connMutex/connCv (and the reactor) on their
   /// way out — those members must still be alive when the workers finish.
   exec::ThreadPool pool;

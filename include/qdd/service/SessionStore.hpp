@@ -39,7 +39,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -116,17 +115,12 @@ public:
     std::size_t requests = 0; ///< guarded by `mutex`
   };
 
+  /// Throws std::invalid_argument when `options.spillDir` is set but is not
+  /// an existing, writable directory: every spill would fail and keep its
+  /// session resident.
   explicit SessionStore(SessionStoreOptions options);
   /// Legacy convenience: capacity + TTL, default sharding, no spill tier.
   SessionStore(std::size_t maxSessions, std::int64_t ttlMs);
-
-  /// Replaces the default plain-Package factory used when restoring a
-  /// spilled session (the API installs one that attaches the shared
-  /// forker, matching createSession's construction).
-  void setPackageFactory(
-      std::function<std::unique_ptr<Package>(std::size_t qubits)> factory) {
-    packageFactory = std::move(factory);
-  }
 
   /// Reserves a session slot and assigns an id ("s1", "s2", ...) WITHOUT
   /// making the entry visible to lookups. The caller constructs
@@ -238,7 +232,6 @@ private:
   const SessionStoreOptions options;
 
   std::vector<std::unique_ptr<Shard>> shards;
-  std::function<std::unique_ptr<Package>(std::size_t)> packageFactory;
 
   std::mutex admissionMutex; ///< guards the capacity check + pendingN
   std::size_t pendingN = 0;  ///< slots reserved by create(), not published

@@ -20,8 +20,6 @@ Two gate classes:
   * Machine-independent gates (always enforced — they hold on any host):
       - node geometry is exact: vNode 64 B / 64 B aligned, mNode 128 B /
         64 B aligned;
-      - simd_cross_validation reports rootsMatch == true (SIMD and scalar
-        kernels canonicalize to pointer-identical roots);
       - deterministic work counters from the QFT-14 probe match the
         baseline: multiply2Calls and uniqueLookups exactly, realLookups at
         most the recorded value (the canonical fast paths must keep eliding
@@ -175,15 +173,6 @@ def check_baseline(args):
                 fail(f"node_layout.{key} = {layout.get(key)}, want {want}")
             else:
                 ok(f"node_layout.{key} = {want}")
-
-    xval = current.get("simd_cross_validation")
-    if xval is None:
-        fail("no simd_cross_validation record in bench output")
-    elif xval.get("rootsMatch") is not True:
-        fail(f"simd_cross_validation.rootsMatch = {xval.get('rootsMatch')} "
-             f"(mode {xval.get('mode')})")
-    else:
-        ok(f"simd/scalar roots match (mode {xval.get('mode')})")
 
     qft = current.get("multiply_qft_14")
     qft_base = baseline["current"].get("multiply_qft_14", {})

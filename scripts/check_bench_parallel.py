@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
-"""Record / check the parallel-execution records of bench_parallel_batch
-and bench_parallel_dd.
+"""Record / check the parallel-execution records of bench_parallel_batch.
 
-The benches print one line per workload:
+The bench prints one line per workload:
 
     BENCH_PARALLEL batch_sim {"workerMs": {...}, "speedup8": ...,
                               "identicalResults": true,
@@ -10,8 +9,6 @@ The benches print one line per workload:
     BENCH_PARALLEL sample    {...}
     BENCH_PARALLEL portfolio {"overheadVsBestSerial": ..., "agrees": true,
                               ...}
-    BENCH_PARALLEL intra_circuit {"serialMs": ..., "workerMs": {...},
-                              "speedup8": ..., "rootsMatch": true, ...}
 
 Modes:
   --record OUT    parse bench output from stdin (or --input FILE) and write
@@ -23,10 +20,7 @@ Hard gates (any machine, any core count):
   * every BENCH_PARALLEL line parses as JSON with the expected fields;
   * identicalResults is true for batch_sim and sample — per-task results
     must be bit-identical for every worker count;
-  * the portfolio verdict agrees with both serial directions;
-  * intra_circuit rootsMatch is true — a concurrent package's parallel
-    multiply/add must land on the same canonical roots as the serial engine
-    for every workload and worker count.
+  * the portfolio verdict agrees with both serial directions.
 
 Core-count-gated (a 1-core container cannot exhibit parallel speedup, so
 these only fire where the hardware can show them):
@@ -34,10 +28,7 @@ these only fire where the hardware can show them):
     (default 3.0);
   * hardwareConcurrency >= 2: portfolio overheadVsBestSerial must stay
     under --max-portfolio-overhead (default 1.10, i.e. within 10% of the
-    better serial direction);
-  * hardwareConcurrency >= 8: intra_circuit speedup8 must reach
-    --min-intra-speedup8 (default 2.0) — the one-package fork/join engine
-    must at least halve the wall time of the heavy workloads at 8 workers.
+    better serial direction).
 
 With --check, the speedup is additionally compared against the baseline:
 it must stay above (1 - --max-regression) of the recorded speedup whenever
@@ -55,8 +46,6 @@ REQUIRED_FIELDS = {
                "identicalResults", "hardwareConcurrency"),
     "portfolio": ("serialLrMs", "serialRlMs", "portfolioMs",
                   "overheadVsBestSerial", "agrees", "hardwareConcurrency"),
-    "intra_circuit": ("serialMs", "workerMs", "speedup2", "speedup4",
-                      "speedup8", "rootsMatch", "hardwareConcurrency"),
 }
 
 
@@ -105,16 +94,10 @@ def validate(records):
         print("FAIL: portfolio verdict disagrees with the serial checkers",
               file=sys.stderr)
         failures += 1
-    if records.get("intra_circuit", {}).get("rootsMatch") is not True:
-        print("FAIL: intra_circuit: parallel and serial runs disagree on "
-              "canonical roots (canonicity contract violated)",
-              file=sys.stderr)
-        failures += 1
     return failures
 
 
-def check_scaling(records, min_speedup8, max_portfolio_overhead,
-                  min_intra_speedup8):
+def check_scaling(records, min_speedup8, max_portfolio_overhead):
     """Core-count-gated performance gates against the record's own machine."""
     failures = 0
     batch = records.get("batch_sim", {})
@@ -142,19 +125,6 @@ def check_scaling(records, min_speedup8, max_portfolio_overhead,
     else:
         print(f"  portfolio: {cores} core(s) — overhead gate skipped "
               "(needs >= 2 cores)")
-
-    intra = records.get("intra_circuit", {})
-    cores = intra.get("hardwareConcurrency", 0)
-    if cores >= 8:
-        speedup = intra.get("speedup8", 0.0)
-        status = "ok" if speedup >= min_intra_speedup8 else "FAIL"
-        print(f"  intra_circuit: speedup8 {speedup:.2f}x on {cores} cores "
-              f"(floor {min_intra_speedup8:.2f}x) {status}")
-        if speedup < min_intra_speedup8:
-            failures += 1
-    else:
-        print(f"  intra_circuit: {cores} core(s) — speedup8 gate skipped "
-              "(needs >= 8 cores)")
     return failures
 
 
@@ -174,9 +144,6 @@ def main():
                         help="portfolio wall-time ceiling relative to the "
                              "better serial direction on >= 2 cores "
                              "(default 1.10)")
-    parser.add_argument("--min-intra-speedup8", type=float, default=2.0,
-                        help="intra-circuit speedup floor at 8 workers on "
-                             ">= 8 cores (default 2.0)")
     parser.add_argument("--max-regression", type=float, default=0.25,
                         help="allowed relative speedup loss vs the baseline "
                              "(default 0.25)")
@@ -208,8 +175,7 @@ def main():
         return 0
 
     failures = check_scaling(records, args.min_speedup8,
-                             args.max_portfolio_overhead,
-                             args.min_intra_speedup8)
+                             args.max_portfolio_overhead)
 
     with open(args.check) as f:
         baseline = json.load(f)["records"]
@@ -228,18 +194,6 @@ def main():
     else:
         print("  baseline comparison skipped (needs >= 8 cores on both "
               "machines)")
-    base_intra = baseline.get("intra_circuit", {})
-    cur_intra = records.get("intra_circuit", {})
-    if (base_intra.get("hardwareConcurrency", 0) >= 8
-            and cur_intra.get("hardwareConcurrency", 0) >= 8):
-        current = cur_intra.get("speedup8", 0.0)
-        expected = base_intra.get("speedup8", 0.0)
-        floor = expected * (1.0 - args.max_regression)
-        status = "ok" if current >= floor else "REGRESSION"
-        print(f"  intra_circuit: speedup8 {current:.2f}x vs baseline "
-              f"{expected:.2f}x (floor {floor:.2f}x) {status}")
-        if current < floor:
-            failures += 1
 
     if failures:
         print(f"FAIL: {failures} scaling gate(s) failed", file=sys.stderr)

@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Record / check the HTTP-service throughput records of bench_service.
 
-The bench prints two tracing phases, a threaded-mode reference phase, one
-line per client count (against the epoll reactor), an idle-session spill
-phase, and a summary:
+The bench prints two tracing phases, one line per client count (against
+the epoll reactor), an idle-session spill phase, and a summary:
 
     BENCH_SERVICE tracing_off {"clients": 1, "requests": ..., "errors": 0,
                                "rps": ..., "p50Ms": ..., "p95Ms": ...,
                                "hardwareConcurrency": ..., ...}
     BENCH_SERVICE tracing_on  {...}
-    BENCH_SERVICE threaded_c1 {...}            (thread-per-connection mode)
     BENCH_SERVICE steps_c1 {...}               (epoll reactor)
     BENCH_SERVICE steps_c4 {...}
     BENCH_SERVICE steps_c8 {...}
@@ -38,12 +36,6 @@ Hard gates (any machine, any core count):
     0.05 ms absolute slack so micro-jitter on sub-millisecond requests
     does not flip the gate. Both phases come from the same run on the
     same machine, so this gate applies everywhere.
-  * net parity: the epoll reactor's single-client p50 (steps_c1) stays
-    within --max-net-overhead (default 10%) of the thread-per-connection
-    p50 (threaded_c1), plus the same 0.05 ms absolute slack — the reactor
-    handoff must not tax an unloaded client. Fires on full >= 200-request
-    runs (a 60-sample --quick p50 is scheduling noise); --record always
-    runs full, so the committed baseline is always gated.
   * idle spill: every created idle session was spilled to disk with zero
     errors and every restore touch succeeded — everywhere, including
     --quick. Where the bench could measure RSS (Linux /proc/self/statm),
@@ -71,8 +63,8 @@ RUN_FIELDS = ("clients", "requests", "errors", "rps", "p50Ms", "p95Ms",
               "hardwareConcurrency")
 SUMMARY_FIELDS = ("totalRequests", "errors", "serverRequests", "scale4",
                   "scale8", "scale64", "hardwareConcurrency")
-RUN_LABELS = ("tracing_off", "tracing_on", "threaded_c1", "steps_c1",
-              "steps_c4", "steps_c8", "steps_c16", "steps_c64")
+RUN_LABELS = ("tracing_off", "tracing_on", "steps_c1", "steps_c4",
+              "steps_c8", "steps_c16", "steps_c64")
 SPILL_FIELDS = ("sessions", "spilled", "rssPerIdleSessionBytes",
                 "restoreTouches", "errors")
 
@@ -184,30 +176,6 @@ def check_tracing_overhead(records, max_overhead):
     return 0 if p50_on <= ceiling else 1
 
 
-def check_net_parity(records, max_overhead):
-    """Epoll reactor p50 vs thread-per-connection p50, single client.
-
-    A p50 over the --quick run's 60 requests is scheduling noise on an
-    oversubscribed container, so the gate only fires on full runs (the
-    configuration the committed baseline was recorded with); --record
-    always takes the full path, so the baseline cannot dodge it.
-    """
-    threaded = records.get("threaded_c1", {})
-    epoll = records.get("steps_c1", {})
-    requests = min(threaded.get("requests", 0), epoll.get("requests", 0))
-    if requests < 200:
-        print(f"  net parity: {requests} request(s) — gate skipped "
-              "(needs a full >= 200-request run)")
-        return 0
-    p50_threaded = threaded.get("p50Ms", 0.0)
-    p50_epoll = epoll.get("p50Ms", 0.0)
-    ceiling = p50_threaded * (1.0 + max_overhead) + TRACING_SLACK_MS
-    status = "ok" if p50_epoll <= ceiling else "FAIL"
-    print(f"  net parity: epoll p50 {p50_epoll:.4f} ms vs threaded "
-          f"{p50_threaded:.4f} ms (ceiling {ceiling:.4f}) {status}")
-    return 0 if p50_epoll <= ceiling else 1
-
-
 def check_idle_rss(records, max_idle_rss):
     """Resident bytes per spilled idle session, where measurable.
 
@@ -269,10 +237,6 @@ def main():
     parser.add_argument("--max-tracing-overhead", type=float, default=0.10,
                         help="allowed relative p50 latency cost of request "
                              "tracing (default 0.10 = 10%%)")
-    parser.add_argument("--max-net-overhead", type=float, default=0.10,
-                        help="allowed relative single-client p50 cost of the "
-                             "epoll reactor vs thread-per-connection "
-                             "(default 0.10 = 10%%)")
     parser.add_argument("--max-idle-rss", type=float, default=4096.0,
                         help="resident-byte ceiling per spilled idle session "
                              "(default 4096)")
@@ -292,7 +256,6 @@ def main():
 
     failures = validate(records)
     failures += check_tracing_overhead(records, args.max_tracing_overhead)
-    failures += check_net_parity(records, args.max_net_overhead)
     failures += check_idle_rss(records, args.max_idle_rss)
     if failures:
         print(f"FAIL: {failures} validation failure(s)", file=sys.stderr)

@@ -41,9 +41,6 @@ REQUIRED_FAMILIES = [
     "qdd_dd_unique_table_probe_length_max",
     "qdd_dd_unique_table_hit_ratio",
     "qdd_dd_compute_hit_ratio",
-    "qdd_dd_unique_table_shard_contention",
-    "qdd_dd_parallel_forks_total",
-    "qdd_dd_realtable_cas_retries_total",
     "qdd_incidents_total",
     "qdd_net_open_connections",
     "qdd_service_sessions_resident",

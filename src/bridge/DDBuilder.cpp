@@ -97,12 +97,8 @@ std::string toString(ApplyMode mode) {
   switch (mode) {
   case ApplyMode::Fast:
     return "fast";
-  case ApplyMode::Cached:
-    return "cached";
   case ApplyMode::General:
     return "general";
-  case ApplyMode::Parallel:
-    return "parallel";
   }
   return "?";
 }
@@ -112,15 +108,8 @@ ApplyMode applyModeFromEnv() {
   if (env == nullptr) {
     return ApplyMode::Fast;
   }
-  const std::string value(env);
-  if (value == "general") {
+  if (std::string(env) == "general") {
     return ApplyMode::General;
-  }
-  if (value == "cached") {
-    return ApplyMode::Cached;
-  }
-  if (value == "parallel") {
-    return ApplyMode::Parallel;
   }
   return ApplyMode::Fast;
 }

@@ -1,7 +1,6 @@
 #include "qdd/complex/RealTable.hpp"
 
 #include "qdd/complex/ComplexValue.hpp"
-#include "qdd/complex/Simd.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -58,27 +57,20 @@ void RealTable::grow() {
 
 RealTable::Entry* RealTable::lookup(double val) {
   assert(val >= 0. && "RealTable only stores non-negative values");
-  if (concurrent) {
-    return lookupConcurrent(val);
-  }
   ++numLookups;
 
-  // Fast paths for the three immortal constants. The two non-zero ones are
-  // classified in a single lane-parallel compare (same priority order and
-  // exact comparisons as the branch chain it replaces).
+  // Fast paths for the three immortal constants.
   if (std::abs(val) <= tol) {
     ++numHits;
     return &zeroEntry;
   }
-  switch (simd::classifyImmortal(val, tol)) {
-  case 1:
+  if (std::abs(val - 1.) <= tol) {
     ++numHits;
     return &oneEntry;
-  case 2:
+  }
+  if (std::abs(val - SQRT2_2) <= tol) {
     ++numHits;
     return &sqrt2Entry;
-  default:
-    break;
   }
 
   const std::size_t key = bucketOf(val, table.size());
@@ -108,76 +100,6 @@ RealTable::Entry* RealTable::lookup(double val) {
   return e;
 }
 
-RealTable::Entry* RealTable::lookupConcurrent(double val) {
-  __atomic_fetch_add(&numLookups, 1, __ATOMIC_RELAXED);
-
-  if (std::abs(val) <= tol) {
-    __atomic_fetch_add(&numHits, 1, __ATOMIC_RELAXED);
-    return &zeroEntry;
-  }
-  switch (simd::classifyImmortal(val, tol)) {
-  case 1:
-    __atomic_fetch_add(&numHits, 1, __ATOMIC_RELAXED);
-    return &oneEntry;
-  case 2:
-    __atomic_fetch_add(&numHits, 1, __ATOMIC_RELAXED);
-    return &sqrt2Entry;
-  default:
-    break;
-  }
-
-  // Growth is deferred to quiescent points in concurrent mode, so the
-  // bucket array is pinned for the whole fork/join region and the chain
-  // heads are stable CAS targets. Chain links of *published* entries are
-  // immutable until the next quiescent GC/grow, so an acquire walk is safe.
-  const std::size_t key = bucketOf(val, table.size());
-  const std::size_t lo = bucketOf(std::max(val - tol, 0.), table.size());
-  const std::size_t hi = bucketOf(val + tol, table.size());
-  for (std::size_t k = lo; k <= hi; ++k) {
-    for (Entry* e = __atomic_load_n(&table[k], __ATOMIC_ACQUIRE);
-         e != nullptr; e = __atomic_load_n(&e->next, __ATOMIC_ACQUIRE)) {
-      if (std::abs(e->value - val) <= tol) {
-        __atomic_fetch_add(&numHits, 1, __ATOMIC_RELAXED);
-        return e;
-      }
-    }
-  }
-
-  Entry* e = allocate(val);
-  Entry* head = __atomic_load_n(&table[key], __ATOMIC_ACQUIRE);
-  for (;;) {
-    // Re-walk the key bucket from the freshly observed head: a racing
-    // worker may have inserted an equal value since our scan above (the
-    // neighbour buckets' race window is accepted — it can only produce a
-    // duplicate within tolerance, never a wrong value; see
-    // docs/PARALLELISM.md on the tolerance-aliasing caveat).
-    for (Entry* c = head; c != nullptr;
-         c = __atomic_load_n(&c->next, __ATOMIC_ACQUIRE)) {
-      if (std::abs(c->value - val) <= tol) {
-        pool.release(e);
-        __atomic_fetch_add(&numHits, 1, __ATOMIC_RELAXED);
-        return c;
-      }
-    }
-    e->next = head;
-    if (__atomic_compare_exchange_n(&table[key], &head, e, false,
-                                    __ATOMIC_RELEASE, __ATOMIC_ACQUIRE)) {
-      break;
-    }
-    __atomic_fetch_add(&numCasRetries, 1, __ATOMIC_RELAXED);
-  }
-  const std::size_t now = __atomic_add_fetch(&numEntries, 1, __ATOMIC_RELAXED);
-  std::size_t peak = __atomic_load_n(&peakEntries, __ATOMIC_RELAXED);
-  while (now > peak &&
-         !__atomic_compare_exchange_n(&peakEntries, &peak, now, true,
-                                      __ATOMIC_RELAXED, __ATOMIC_RELAXED)) {
-  }
-  if (e->next != nullptr) {
-    __atomic_fetch_add(&numCollisions, 1, __ATOMIC_RELAXED);
-  }
-  return e;
-}
-
 RealTable::Entry* RealTable::allocate(double val) {
   Entry* e = pool.get();
   // Reinitialize everything except the generation the pool just stamped.
@@ -201,22 +123,6 @@ void RealTable::decRef(Entry* e) noexcept {
   }
   assert(e->ref > 0 && "reference count underflow in RealTable");
   --e->ref;
-}
-
-void RealTable::incRefAtomic(Entry* e) noexcept {
-  if (e == nullptr || e->immortal) {
-    return;
-  }
-  __atomic_fetch_add(&e->ref, 1, __ATOMIC_RELAXED);
-}
-
-void RealTable::decRefAtomic(Entry* e) noexcept {
-  if (e == nullptr || e->immortal) {
-    return;
-  }
-  assert(__atomic_load_n(&e->ref, __ATOMIC_RELAXED) > 0 &&
-         "reference count underflow in RealTable");
-  __atomic_fetch_sub(&e->ref, 1, __ATOMIC_RELAXED);
 }
 
 std::size_t RealTable::garbageCollect() {
@@ -265,7 +171,6 @@ mem::RealTableStats RealTable::stats() const noexcept {
   s.collisions = numCollisions;
   s.buckets = table.size();
   s.rehashes = numRehashes;
-  s.casRetries = numCasRetries;
   s.memory = pool.stats();
   return s;
 }

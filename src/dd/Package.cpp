@@ -49,68 +49,10 @@ const char* toString(IdentityMode mode) noexcept {
   return mode == IdentityMode::Strip ? "strip" : "materialize";
 }
 
-// --- table concurrency mode (QDD_APPLY=parallel; docs/PARALLELISM.md) -------
-
-ConcurrencyMode parseConcurrencyMode(const char* value) noexcept {
-  if (value != nullptr && std::strcmp(value, "parallel") == 0) {
-    return ConcurrencyMode::Concurrent;
-  }
-  return ConcurrencyMode::Serial;
-}
-
-ConcurrencyMode concurrencyModeFromEnv() {
-  // QDD_APPLY is primarily the bridge's apply-engine switch; "parallel" is
-  // the one value that also changes how packages are built, so the dd layer
-  // reads it directly (same pattern as QDD_DD_IDENTITY above).
-  return parseConcurrencyMode(std::getenv("QDD_APPLY"));
-}
-
-namespace {
-std::atomic<ConcurrencyMode>& globalConcurrencyModeRef() {
-  static std::atomic<ConcurrencyMode> mode{concurrencyModeFromEnv()};
-  return mode;
-}
-} // namespace
-
-ConcurrencyMode globalConcurrencyMode() {
-  return globalConcurrencyModeRef().load(std::memory_order_relaxed);
-}
-
-void setGlobalConcurrencyMode(ConcurrencyMode mode) {
-  globalConcurrencyModeRef().store(mode, std::memory_order_relaxed);
-}
-
-const char* toString(ConcurrencyMode mode) noexcept {
-  return mode == ConcurrencyMode::Concurrent ? "concurrent" : "serial";
-}
-
 Package::Package(std::size_t numQubits, NormalizationScheme normScheme,
-                 double tolerance, IdentityMode identityMode,
-                 ConcurrencyMode concurrencyMode)
+                 double tolerance, IdentityMode identityMode)
     : nqubits(numQubits), scheme(normScheme), idMode(identityMode),
-      concurrency(concurrencyMode), cTable(tolerance),
-      vTable(vMem, numQubits,
-             concurrencyMode == ConcurrencyMode::Concurrent ? CONCURRENT_SHARDS
-                                                            : 1),
-      mTable(mMem, numQubits,
-             concurrencyMode == ConcurrencyMode::Concurrent ? CONCURRENT_SHARDS
-                                                            : 1) {
-  if (concurrency == ConcurrencyMode::Concurrent) {
-    // Flip every table layer into its shared-safe variant once, up front:
-    // node/entry pools take a spinlock, compute caches stripe-lock their
-    // slots, the real table publishes entries by CAS.
-    vMem.setConcurrent(true);
-    mMem.setConcurrent(true);
-    cTable.realTable().setConcurrent(true);
-    addVecTable.setConcurrent(true);
-    addMatTable.setConcurrent(true);
-    multMatVecTable.setConcurrent(true);
-    multMatMatTable.setConcurrent(true);
-    conjTransTable.setConcurrent(true);
-    innerProductTable.setConcurrent(true);
-    mulWeightTable.setConcurrent(true);
-    mulWeight3Table.setConcurrent(true);
-  }
+      cTable(tolerance), vTable(vMem, numQubits), mTable(mMem, numQubits) {
   idTable.reserve(nqubits + 1);
   idTable.push_back(mEdge::one());
 }
@@ -167,24 +109,6 @@ void Package::shrink(std::size_t n) {
 // (inc/dec become no-ops, GC never reclaims it). This is what lets the
 // count live in the node's packed cache line.
 template <class Node> void Package::incRefEdge(const Edge<Node>& e) noexcept {
-  if (concurrency == ConcurrencyMode::Concurrent) {
-    // Forked subtasks pin children of freshly inserted nodes from many
-    // threads at once. The saturation bound must hold under contention, so
-    // the increment is a CAS loop instead of a blind fetch_add (which could
-    // carry a racing count past IMMORTAL_REF). Relaxed ordering suffices:
-    // counts are only *consulted* at quiescent GC points.
-    ComplexTable::incRefAtomic(e.w);
-    if (!e.isTerminal()) {
-      auto cur = __atomic_load_n(&e.p->ref, __ATOMIC_RELAXED);
-      while (cur < IMMORTAL_REF &&
-             !__atomic_compare_exchange_n(&e.p->ref, &cur,
-                                          static_cast<std::uint16_t>(cur + 1),
-                                          true, __ATOMIC_RELAXED,
-                                          __ATOMIC_RELAXED)) {
-      }
-    }
-    return;
-  }
   ComplexTable::incRef(e.w);
   if (!e.isTerminal() && e.p->ref < IMMORTAL_REF) {
     ++e.p->ref;
@@ -192,20 +116,6 @@ template <class Node> void Package::incRefEdge(const Edge<Node>& e) noexcept {
 }
 
 template <class Node> void Package::decRefEdge(const Edge<Node>& e) noexcept {
-  if (concurrency == ConcurrencyMode::Concurrent) {
-    ComplexTable::decRefAtomic(e.w);
-    if (!e.isTerminal()) {
-      auto cur = __atomic_load_n(&e.p->ref, __ATOMIC_RELAXED);
-      while (cur < IMMORTAL_REF && cur > 0 &&
-             !__atomic_compare_exchange_n(&e.p->ref, &cur,
-                                          static_cast<std::uint16_t>(cur - 1),
-                                          true, __ATOMIC_RELAXED,
-                                          __ATOMIC_RELAXED)) {
-      }
-      assert(cur > 0 && "node reference count underflow");
-    }
-    return;
-  }
   ComplexTable::decRef(e.w);
   if (!e.isTerminal() && e.p->ref < IMMORTAL_REF) {
     assert(e.p->ref > 0 && "node reference count underflow");
@@ -219,12 +129,6 @@ void Package::incRef(const mEdge& e) noexcept { incRefEdge(e); }
 void Package::decRef(const mEdge& e) noexcept { decRefEdge(e); }
 
 bool Package::garbageCollect(bool force) {
-  if (parallelDepth > 0) {
-    // Fork/join region in flight: forked subtasks hold edges to nodes whose
-    // reference counts are still zero, and every table layer assumes GC only
-    // runs at quiescent points. Refuse — even when forced.
-    return false;
-  }
   if (!force && !vTable.possiblyNeedsCollection() &&
       !mTable.possiblyNeedsCollection() &&
       !cTable.realTable().possiblyNeedsCollection()) {
@@ -823,7 +727,6 @@ mem::StatsRegistry Package::statistics() const {
   reg.computeTables.push_back(mulWeightTable.stats("mulWeight"));
   reg.computeTables.push_back(mulWeight3Table.stats("mulWeight3"));
   reg.apply = applyCounters;
-  reg.parallel = parallelStats;
   reg.gc.runs = gcRuns;
   reg.gc.generation = generation;
   reg.gc.collectedVectorNodes = collectedVectorNodes;

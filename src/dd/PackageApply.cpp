@@ -1,5 +1,4 @@
 #include "DDOpSpan.hpp"
-#include "qdd/complex/Simd.hpp"
 #include "qdd/dd/Package.hpp"
 #include "qdd/obs/Obs.hpp"
 
@@ -298,7 +297,7 @@ private:
     if (m.exactlyOne()) {
       return e;
     }
-    const ComplexValue w = simd::mul(m, e.w.toValue());
+    const ComplexValue w = m * e.w.toValue();
     if (w.approximatelyZero(tol)) {
       return vEdge::zero();
     }

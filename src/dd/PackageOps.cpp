@@ -1,5 +1,4 @@
 #include "DDOpSpan.hpp"
-#include "qdd/complex/Simd.hpp"
 #include "qdd/dd/Package.hpp"
 #include "qdd/obs/Obs.hpp"
 
@@ -47,7 +46,7 @@ Complex Package::mulWeightsCached(const Complex& a, const Complex& b) {
       return hit;
     }
   }
-  const ComplexValue w = simd::mul(l.toValue(), r.toValue());
+  const ComplexValue w = l.toValue() * r.toValue();
   const Complex out =
       w.approximatelyZero(tolerance()) ? Complex::zero : lookup(w);
   if (computeTablesEnabled) {
@@ -109,7 +108,7 @@ Complex Package::mulWeights3(const Complex& a, const Complex& b,
       return hit;
     }
   }
-  const ComplexValue w = simd::mul3(l.toValue(), m.toValue(), c.toValue());
+  const ComplexValue w = (l.toValue() * m.toValue()) * c.toValue();
   const Complex out =
       w.approximatelyZero(tolerance()) ? Complex::zero : lookup(w);
   if (computeTablesEnabled) {
@@ -120,13 +119,7 @@ Complex Package::mulWeights3(const Complex& a, const Complex& b,
 
 // --- addition (paper Fig. 4, right) -----------------------------------------
 
-vEdge Package::add(const vEdge& x, const vEdge& y) {
-  const ParallelRegion region(*this);
-  return add(x, y, region.budget());
-}
-
-vEdge Package::addVecChild(const vEdge& a, const vEdge& b, std::size_t k,
-                           int fork) {
+vEdge Package::addVecChild(const vEdge& a, const vEdge& b, std::size_t k) {
   vEdge ea = a.p->e[k];
   if (!ea.w.exactlyZero()) {
     ea.w = mulWeights(a.w, ea.w);
@@ -135,10 +128,10 @@ vEdge Package::addVecChild(const vEdge& a, const vEdge& b, std::size_t k,
   if (!eb.w.exactlyZero()) {
     eb.w = mulWeights(b.w, eb.w);
   }
-  return add(ea, eb, fork);
+  return add(ea, eb);
 }
 
-vEdge Package::add(const vEdge& x, const vEdge& y, int fork) {
+vEdge Package::add(const vEdge& x, const vEdge& y) {
   const DDOpSpan span("add");
   if (x.w.exactlyZero()) {
     return y;
@@ -167,21 +160,8 @@ vEdge Package::add(const vEdge& x, const vEdge& y, int fork) {
          "add: level misalignment");
   const Qubit v = a.p->v;
   std::array<vEdge, 2> r{};
-  if (fork > 0 && taskForker != nullptr) {
-    checkCancelled();
-    std::array<std::function<void()>, 2> tasks;
-    for (std::size_t k = 0; k < 2; ++k) {
-      tasks[k] = [this, &a, &b, &r, k, fork] {
-        checkCancelled();
-        r[k] = addVecChild(a, b, k, fork - 1);
-      };
-    }
-    noteForks(tasks.size());
-    taskForker->runAll(tasks.data(), tasks.size());
-  } else {
-    for (std::size_t k = 0; k < 2; ++k) {
-      r[k] = addVecChild(a, b, k, 0);
-    }
+  for (std::size_t k = 0; k < 2; ++k) {
+    r[k] = addVecChild(a, b, k);
   }
   const vEdge result = makeVecNode(v, r);
   if (computeTablesEnabled) {
@@ -190,13 +170,8 @@ vEdge Package::add(const vEdge& x, const vEdge& y, int fork) {
   return result;
 }
 
-mEdge Package::add(const mEdge& x, const mEdge& y) {
-  const ParallelRegion region(*this);
-  return add(x, y, region.budget());
-}
-
 mEdge Package::addMatChild(const mEdge& a, const mEdge& b, Qubit va, Qubit vb,
-                           Qubit v, std::size_t k, int fork) {
+                           Qubit v, std::size_t k) {
   mEdge ea;
   if (va == v) {
     ea = a.p->e[k];
@@ -215,10 +190,10 @@ mEdge Package::addMatChild(const mEdge& a, const mEdge& b, Qubit va, Qubit vb,
   } else {
     eb = (k == 0 || k == 3) ? b : mEdge::zero();
   }
-  return add(ea, eb, fork);
+  return add(ea, eb);
 }
 
-mEdge Package::add(const mEdge& x, const mEdge& y, int fork) {
+mEdge Package::add(const mEdge& x, const mEdge& y) {
   const DDOpSpan span("add");
   if (x.w.exactlyZero()) {
     return y;
@@ -254,21 +229,8 @@ mEdge Package::add(const mEdge& x, const mEdge& y, int fork) {
   const Qubit v = std::max(va, vb);
   assert(v >= 0 && "add: two terminal operands with distinct nodes");
   std::array<mEdge, 4> r{};
-  if (fork > 0 && taskForker != nullptr) {
-    checkCancelled();
-    std::array<std::function<void()>, 4> tasks;
-    for (std::size_t k = 0; k < 4; ++k) {
-      tasks[k] = [this, &a, &b, &r, va, vb, v, k, fork] {
-        checkCancelled();
-        r[k] = addMatChild(a, b, va, vb, v, k, fork - 1);
-      };
-    }
-    noteForks(tasks.size());
-    taskForker->runAll(tasks.data(), tasks.size());
-  } else {
-    for (std::size_t k = 0; k < 4; ++k) {
-      r[k] = addMatChild(a, b, va, vb, v, k, 0);
-    }
+  for (std::size_t k = 0; k < 4; ++k) {
+    r[k] = addMatChild(a, b, va, vb, v, k);
   }
   const mEdge result = makeMatNode(v, r);
   if (computeTablesEnabled) {
@@ -284,8 +246,7 @@ vEdge Package::multiply(const mEdge& x, const vEdge& y) {
   if (x.w.exactlyZero() || y.w.exactlyZero()) {
     return vEdge::zero();
   }
-  const ParallelRegion region(*this);
-  const vEdge r = multiply2(x.p, y.p, region.budget());
+  const vEdge r = multiply2(x.p, y.p);
   if (r.w.exactlyZero()) {
     return vEdge::zero();
   }
@@ -297,7 +258,7 @@ vEdge Package::multiply(const mEdge& x, const vEdge& y) {
 }
 
 vEdge Package::multVecChildSum(mNode* x, vNode* y, bool xAligned,
-                               std::size_t i, int fork) {
+                               std::size_t i) {
   vEdge sum = vEdge::zero();
   for (std::size_t j = 0; j < 2; ++j) {
     const mEdge xe = xAligned ? x->e[2 * i + j]
@@ -307,7 +268,7 @@ vEdge Package::multVecChildSum(mNode* x, vNode* y, bool xAligned,
     if (xe.w.exactlyZero() || ye.w.exactlyZero()) {
       continue;
     }
-    vEdge m = multiply2(xe.p, ye.p, fork);
+    vEdge m = multiply2(xe.p, ye.p);
     if (m.w.exactlyZero()) {
       continue;
     }
@@ -316,12 +277,12 @@ vEdge Package::multVecChildSum(mNode* x, vNode* y, bool xAligned,
       continue;
     }
     const vEdge term{m.p, mw};
-    sum = sum.w.exactlyZero() ? term : add(sum, term, fork);
+    sum = sum.w.exactlyZero() ? term : add(sum, term);
   }
   return sum;
 }
 
-vEdge Package::multiply2(mNode* x, vNode* y, int fork) {
+vEdge Package::multiply2(mNode* x, vNode* y) {
   if (x->isTerminal()) {
     if (idMode == IdentityMode::Strip) {
       // Terminal matrix = identity on every remaining level: U|phi> = |phi>.
@@ -360,24 +321,8 @@ vEdge Package::multiply2(mNode* x, vNode* y, int fork) {
     }
   }
   std::array<vEdge, 2> r{};
-  if (fork > 0 && taskForker != nullptr) {
-    // Fork the two independent result children. Each child's arithmetic is
-    // the exact serial sequence (multVecChildSum), so the joined result is
-    // pointer-identical to the serial one.
-    checkCancelled();
-    std::array<std::function<void()>, 2> tasks;
-    for (std::size_t i = 0; i < 2; ++i) {
-      tasks[i] = [this, x, y, xAligned, &r, i, fork] {
-        checkCancelled();
-        r[i] = multVecChildSum(x, y, xAligned, i, fork - 1);
-      };
-    }
-    noteForks(tasks.size());
-    taskForker->runAll(tasks.data(), tasks.size());
-  } else {
-    for (std::size_t i = 0; i < 2; ++i) {
-      r[i] = multVecChildSum(x, y, xAligned, i, 0);
-    }
+  for (std::size_t i = 0; i < 2; ++i) {
+    r[i] = multVecChildSum(x, y, xAligned, i);
   }
   const vEdge result = makeVecNode(v, r);
   if (computeTablesEnabled) {
@@ -391,8 +336,7 @@ mEdge Package::multiply(const mEdge& x, const mEdge& y) {
   if (x.w.exactlyZero() || y.w.exactlyZero()) {
     return mEdge::zero();
   }
-  const ParallelRegion region(*this);
-  const mEdge r = multiply2(x.p, y.p, region.budget());
+  const mEdge r = multiply2(x.p, y.p);
   if (r.w.exactlyZero()) {
     return mEdge::zero();
   }
@@ -404,8 +348,7 @@ mEdge Package::multiply(const mEdge& x, const mEdge& y) {
 }
 
 mEdge Package::multMatChildSum(mNode* x, mNode* y, bool xAligned,
-                               bool yAligned, std::size_t i, std::size_t k,
-                               int fork) {
+                               bool yAligned, std::size_t i, std::size_t k) {
   mEdge sum = mEdge::zero();
   for (std::size_t j = 0; j < 2; ++j) {
     const mEdge xe = xAligned ? x->e[2 * i + j]
@@ -417,7 +360,7 @@ mEdge Package::multMatChildSum(mNode* x, mNode* y, bool xAligned,
     if (xe.w.exactlyZero() || ye.w.exactlyZero()) {
       continue;
     }
-    mEdge m = multiply2(xe.p, ye.p, fork);
+    mEdge m = multiply2(xe.p, ye.p);
     if (m.w.exactlyZero()) {
       continue;
     }
@@ -426,12 +369,12 @@ mEdge Package::multMatChildSum(mNode* x, mNode* y, bool xAligned,
       continue;
     }
     const mEdge term{m.p, mw};
-    sum = sum.w.exactlyZero() ? term : add(sum, term, fork);
+    sum = sum.w.exactlyZero() ? term : add(sum, term);
   }
   return sum;
 }
 
-mEdge Package::multiply2(mNode* x, mNode* y, int fork) {
+mEdge Package::multiply2(mNode* x, mNode* y) {
   if (x->isTerminal() || y->isTerminal()) {
     if (idMode == IdentityMode::Strip) {
       // Terminal operand = identity on every remaining level, which is the
@@ -477,26 +420,9 @@ mEdge Package::multiply2(mNode* x, mNode* y, int fork) {
     }
   }
   std::array<mEdge, 4> r{};
-  if (fork > 0 && taskForker != nullptr) {
-    // Fork the four independent result blocks (i, k).
-    checkCancelled();
-    std::array<std::function<void()>, 4> tasks;
-    for (std::size_t i = 0; i < 2; ++i) {
-      for (std::size_t k = 0; k < 2; ++k) {
-        tasks[2 * i + k] = [this, x, y, xAligned, yAligned, &r, i, k, fork] {
-          checkCancelled();
-          r[2 * i + k] = multMatChildSum(x, y, xAligned, yAligned, i, k,
-                                         fork - 1);
-        };
-      }
-    }
-    noteForks(tasks.size());
-    taskForker->runAll(tasks.data(), tasks.size());
-  } else {
-    for (std::size_t i = 0; i < 2; ++i) {
-      for (std::size_t k = 0; k < 2; ++k) {
-        r[2 * i + k] = multMatChildSum(x, y, xAligned, yAligned, i, k, 0);
-      }
+  for (std::size_t i = 0; i < 2; ++i) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      r[2 * i + k] = multMatChildSum(x, y, xAligned, yAligned, i, k);
     }
   }
   const mEdge result = makeMatNode(v, r);

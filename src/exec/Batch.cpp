@@ -42,13 +42,7 @@ struct WorkerState {
 
   Package& package(std::size_t qubits) {
     if (!pkg) {
-      // Explicitly Serial even under QDD_APPLY=parallel: each worker owns
-      // its package outright, so sharded tables and atomic refcounts would
-      // be pure overhead here (task-level parallelism, not intra-circuit).
-      pkg = std::make_unique<Package>(
-          std::max<std::size_t>(qubits, 1), NormalizationScheme::Largest,
-          RealTable::DEFAULT_TOLERANCE, globalIdentityMode(),
-          ConcurrencyMode::Serial);
+      pkg = std::make_unique<Package>(std::max<std::size_t>(qubits, 1));
     }
     return *pkg;
   }

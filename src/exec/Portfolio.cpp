@@ -59,11 +59,7 @@ PortfolioResult checkPortfolio(const ir::QuantumComputation& g1,
     obs::ScopedSpan entrySpan("exec", "portfolioEntry");
     entrySpan.arg("entry", entry.name);
     const auto entryStart = Clock::now();
-    // Serial even under QDD_APPLY=parallel: portfolio entries are the
-    // task-level axis, each with a private package.
-    Package pkg(g1.numQubits(), NormalizationScheme::Largest,
-                RealTable::DEFAULT_TOLERANCE, globalIdentityMode(),
-                ConcurrencyMode::Serial);
+    Package pkg(g1.numQubits());
     switch (specs[i].kind) {
     case EntryKind::AlternatingLR:
       entry.result =

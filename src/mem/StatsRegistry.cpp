@@ -25,8 +25,6 @@ void UniqueTableStats::merge(const UniqueTableStats& other) noexcept {
   levels = std::max(levels, other.levels);
   buckets += other.buckets;
   rehashes += other.rehashes;
-  shards = std::max(shards, other.shards);
-  shardContention += other.shardContention;
   memory.merge(other.memory);
 }
 
@@ -38,7 +36,6 @@ void RealTableStats::merge(const RealTableStats& other) noexcept {
   collisions += other.collisions;
   buckets += other.buckets;
   rehashes += other.rehashes;
-  casRetries += other.casRetries;
   memory.merge(other.memory);
 }
 
@@ -54,12 +51,6 @@ void ApplyPathStats::merge(const ApplyPathStats& other) noexcept {
   permutation += other.permutation;
   generic += other.generic;
   fallback += other.fallback;
-}
-
-void ParallelStats::merge(const ParallelStats& other) noexcept {
-  forks += other.forks;
-  regions += other.regions;
-  cancelled += other.cancelled;
 }
 
 void GcStats::merge(const GcStats& other) noexcept {
@@ -88,7 +79,6 @@ void StatsRegistry::merge(const StatsRegistry& other) {
     }
   }
   apply.merge(other.apply);
-  parallel.merge(other.parallel);
   gc.merge(other.gc);
 }
 
@@ -236,8 +226,6 @@ void writeUniqueTable(JsonWriter& w, const char* key,
   w.field("buckets", t.buckets);
   w.field("loadFactor", t.loadFactor());
   w.field("rehashes", t.rehashes);
-  w.field("shards", t.shards);
-  w.field("shardContention", t.shardContention);
   writeAllocator(w, t.memory);
   w.closeObject();
 }
@@ -262,7 +250,6 @@ std::string StatsRegistry::toJson(bool pretty) const {
   w.field("collisions", reals.collisions);
   w.field("buckets", reals.buckets);
   w.field("rehashes", reals.rehashes);
-  w.field("casRetries", reals.casRetries);
   writeAllocator(w, reals.memory);
   w.closeObject();
 
@@ -295,12 +282,6 @@ std::string StatsRegistry::toJson(bool pretty) const {
   w.field("generic", apply.generic);
   w.field("fallback", apply.fallback);
   w.field("coverage", apply.coverage());
-  w.closeObject();
-
-  w.openObject("parallel");
-  w.field("forks", parallel.forks);
-  w.field("regions", parallel.regions);
-  w.field("cancelled", parallel.cancelled);
   w.closeObject();
 
   w.openObject("gc");

@@ -488,6 +488,9 @@ void Reactor::destroy(std::uint64_t token) {
     conn = it->second;
     conns.erase(it);
   }
+  // lowered before the close: a peer that has seen EOF must never read
+  // the connection as still open
+  openCount.fetch_sub(1, std::memory_order_relaxed);
   {
     // fence off complete()'s direct write before the fd number can be
     // reused: a worker holding the shared_ptr sees alive == false
@@ -500,7 +503,6 @@ void Reactor::destroy(std::uint64_t token) {
 #endif
     ::close(conn->fd);
   }
-  openCount.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void Reactor::stop() {
@@ -523,12 +525,13 @@ void Reactor::stop() {
     }
     conns.clear();
   }
+  // zeroed before the closes, as in destroy()
+  openCount.store(0, std::memory_order_relaxed);
   for (const auto& conn : remaining) {
     const std::lock_guard<std::mutex> lock(conn->ioMutex);
     conn->alive = false;
     ::close(conn->fd);
   }
-  openCount.store(0, std::memory_order_relaxed);
   {
     // drop completions that raced the shutdown
     const std::lock_guard<std::mutex> lock(completionMutex);

@@ -1,6 +1,5 @@
 #include "qdd/service/Api.hpp"
 
-#include "qdd/exec/DDForker.hpp"
 #include "qdd/exec/Portfolio.hpp"
 #include "qdd/ir/Builders.hpp"
 #include "qdd/obs/Obs.hpp"
@@ -109,14 +108,7 @@ SessionStoreOptions storeOptions(const ApiOptions& options) {
 
 Api::Api(ApiOptions options, ServiceMetrics& metrics)
     : options(options), metrics(metrics), store(storeOptions(options)),
-      incidentLog(options.maxIncidents, options.incidentDir) {
-  // restored packages get the same construction as createSession's
-  store.setPackageFactory([](std::size_t qubits) {
-    auto package = std::make_unique<Package>(qubits);
-    exec::attachSharedForker(*package);
-    return package;
-  });
-}
+      incidentLog(options.maxIncidents, options.incidentDir) {}
 
 void Api::install(Router& router) {
   const auto wrap = [this](auto method) {
@@ -408,9 +400,6 @@ HttpResponse Api::createSession(const HttpRequest& request) {
   try {
     entry->qubits = std::max<std::size_t>(left.numQubits(), 1);
     entry->package = std::make_unique<Package>(entry->qubits);
-    // No-op for serial packages; under QDD_APPLY=parallel this forks DD
-    // subproblems of this session onto the shared pool.
-    exec::attachSharedForker(*entry->package);
     if (kind == "simulation") {
       entry->name = left.name().empty() ? "circuit" : left.name();
       // keep the seed on the entry: a spill/restore cycle reconstructs the
@@ -954,23 +943,6 @@ std::string Api::prometheusDoc() const {
                "Garbage-collection runs across all packages.");
   prom::sample(out, "qdd_dd_gc_runs_total", "",
                static_cast<double>(dd.gc.runs));
-
-  // --- intra-circuit parallelism (QDD_APPLY=parallel; zero when serial) ---
-  prom::family(out, "qdd_dd_unique_table_shard_contention", "counter",
-               "Contended unique-table shard lock acquisitions.");
-  prom::sample(out, "qdd_dd_unique_table_shard_contention", "table=\"vector\"",
-               static_cast<double>(dd.vectorTable.shardContention));
-  prom::sample(out, "qdd_dd_unique_table_shard_contention", "table=\"matrix\"",
-               static_cast<double>(dd.matrixTable.shardContention));
-  prom::family(out, "qdd_dd_parallel_forks_total", "counter",
-               "DD subproblems forked onto the exec pool by "
-               "multiply/add recursions.");
-  prom::sample(out, "qdd_dd_parallel_forks_total", "",
-               static_cast<double>(dd.parallel.forks));
-  prom::family(out, "qdd_dd_realtable_cas_retries_total", "counter",
-               "Lost CAS races on concurrent real-table bucket inserts.");
-  prom::sample(out, "qdd_dd_realtable_cas_retries_total", "",
-               static_cast<double>(dd.reals.casRetries));
 
   // --- incidents ---
   prom::family(out, "qdd_incidents_total", "counter",

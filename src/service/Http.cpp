@@ -100,29 +100,6 @@ const char* statusReason(int status) {
   }
 }
 
-ReadOutcome readHttpRequest(int fd, HttpRequest& out, std::string& carry,
-                            std::size_t maxBodyBytes) {
-  // fill-loop around the shared incremental parser (qdd::net): the blocking
-  // path and the reactor accept byte-for-byte the same request language
-  for (;;) {
-    switch (net::tryParseHttpRequest(carry, out, maxBodyBytes)) {
-    case net::ParseStatus::Ok:
-      return ReadOutcome::Ok;
-    case net::ParseStatus::Malformed:
-      return ReadOutcome::Malformed;
-    case net::ParseStatus::TooLarge:
-      return ReadOutcome::TooLarge;
-    case net::ParseStatus::Unsupported:
-      return ReadOutcome::Unsupported;
-    case net::ParseStatus::NeedMore:
-      break;
-    }
-    if (!fill(fd, carry, MAX_HEADER_BYTES)) {
-      return carry.empty() ? ReadOutcome::Closed : ReadOutcome::Malformed;
-    }
-  }
-}
-
 std::string serializeHttpResponse(const HttpResponse& response) {
   std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
                     statusReason(response.status) + "\r\n";
@@ -135,11 +112,6 @@ std::string serializeHttpResponse(const HttpResponse& response) {
   out += "\r\n";
   out += response.body;
   return out;
-}
-
-bool writeHttpResponse(int fd, const HttpResponse& response) {
-  const std::string bytes = serializeHttpResponse(response);
-  return sendAll(fd, bytes.data(), bytes.size());
 }
 
 // --- client ------------------------------------------------------------------

@@ -13,8 +13,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -22,14 +20,8 @@ namespace qdd::service {
 
 NetMode defaultNetMode() {
   const char* env = std::getenv("QDD_NET");
-  if (env != nullptr) {
-    const std::string v(env);
-    if (v == "threaded") {
-      return NetMode::Threaded;
-    }
-    if (v == "poll") {
-      return NetMode::Poll;
-    }
+  if (env != nullptr && std::string(env) == "poll") {
+    return NetMode::Poll;
   }
   return NetMode::Epoll;
 }
@@ -82,11 +74,6 @@ void HttpServer::start() {
     accessLog.open(options.accessLogPath, std::ios::app);
   }
 
-  if (options.net == NetMode::Threaded) {
-    acceptor = std::thread([this] { acceptLoop(); });
-    return;
-  }
-
   net::ReactorOptions reactorOptions;
   reactorOptions.backend = options.net == NetMode::Poll
                                ? net::Backend::Poll
@@ -109,71 +96,6 @@ void HttpServer::start() {
         return serializeHttpResponse(parseFailureResponse(status));
       });
   reactor->start(listenFd);
-}
-
-void HttpServer::acceptLoop() {
-  while (!stopping.load(std::memory_order_relaxed)) {
-    pollfd pfd{};
-    pfd.fd = listenFd;
-    pfd.events = POLLIN;
-    // short poll timeout so stop() is observed promptly
-    const int ready = ::poll(&pfd, 1, 100);
-    if (ready <= 0) {
-      continue;
-    }
-    const int fd = ::accept(listenFd, nullptr, nullptr);
-    if (fd < 0) {
-      continue;
-    }
-    if (stopping.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      continue;
-    }
-    trackOpen(fd);
-    pool.submit([this, fd] { handleConnection(fd); });
-  }
-}
-
-void HttpServer::handleConnection(int fd) {
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  // recv() on an idle keep-alive connection returns after this long, which
-  // readHttpRequest reports as Closed — freeing the pool worker
-  timeval tv{};
-  tv.tv_sec = options.idleTimeoutMs / 1000;
-  tv.tv_usec = (options.idleTimeoutMs % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-
-  std::string carry;
-  for (;;) {
-    HttpRequest request;
-    const ReadOutcome outcome =
-        readHttpRequest(fd, request, carry, options.maxBodyBytes);
-    if (outcome == ReadOutcome::Closed) {
-      break;
-    }
-    if (outcome != ReadOutcome::Ok) {
-      net::ParseStatus status = net::ParseStatus::Malformed;
-      if (outcome == ReadOutcome::TooLarge) {
-        status = net::ParseStatus::TooLarge;
-      } else if (outcome == ReadOutcome::Unsupported) {
-        status = net::ParseStatus::Unsupported;
-      }
-      writeHttpResponse(fd, parseFailureResponse(status));
-      break;
-    }
-
-    HttpResponse response = processRequest(request);
-    response.close = response.close || !request.keepAlive;
-    if (!writeHttpResponse(fd, response) || response.close) {
-      break;
-    }
-  }
-  // Deregister BEFORE closing: once the fd number is closed the kernel may
-  // reuse it, and stop() iterating openFds must never shutdown() a reused
-  // descriptor belonging to someone else.
-  trackClosed(fd);
-  ::close(fd);
 }
 
 HttpResponse HttpServer::parseFailureResponse(net::ParseStatus status) {
@@ -336,32 +258,15 @@ void HttpServer::logAccess(const obs::TraceContext& ctx,
   accessLog.flush();
 }
 
-void HttpServer::trackOpen(int fd) {
-  const std::lock_guard<std::mutex> lock(connMutex);
-  openFds.insert(fd);
-}
-
-void HttpServer::trackClosed(int fd) {
-  {
-    const std::lock_guard<std::mutex> lock(connMutex);
-    openFds.erase(fd);
-  }
-  connCv.notify_all();
-}
-
 std::size_t HttpServer::openConnections() const {
-  if (reactor) {
-    return reactor->openConnections();
-  }
-  const std::lock_guard<std::mutex> lock(connMutex);
-  return openFds.size();
+  return reactor ? reactor->openConnections() : 0;
 }
 
 const char* HttpServer::netName() const noexcept {
-  if (!reactor) {
-    return "threaded";
+  if (reactor && reactor->backend() == net::Backend::Poll) {
+    return "poll";
   }
-  return reactor->backend() == net::Backend::Epoll ? "epoll" : "poll";
+  return "epoll";
 }
 
 bool HttpServer::awaitIdle(int timeoutMs) {
@@ -379,36 +284,14 @@ void HttpServer::stop() {
     // in flight call complete() into the void (safe no-op), and the wait
     // below lets their pipelines finish before the caller reads metrics.
     reactor->stop();
-    if (listenFd >= 0) {
-      ::close(listenFd);
-      listenFd = -1;
-    }
-    std::unique_lock<std::mutex> lock(connMutex);
-    connCv.wait_for(lock, std::chrono::seconds(10),
-                    [this] { return inFlight == 0; });
-    return;
-  }
-  if (acceptor.joinable()) {
-    acceptor.join();
   }
   if (listenFd >= 0) {
     ::close(listenFd);
     listenFd = -1;
   }
-  // Unblock handlers sitting in recv(); they observe EOF, answer nothing,
-  // and exit their loops. The pool destructor would wait for them anyway —
-  // shutdown just makes that wait short.
-  {
-    const std::lock_guard<std::mutex> lock(connMutex);
-    for (const int fd : openFds) {
-      ::shutdown(fd, SHUT_RDWR);
-    }
-  }
-  {
-    std::unique_lock<std::mutex> lock(connMutex);
-    connCv.wait_for(lock, std::chrono::seconds(10),
-                    [this] { return openFds.empty(); });
-  }
+  std::unique_lock<std::mutex> lock(connMutex);
+  connCv.wait_for(lock, std::chrono::seconds(10),
+                  [this] { return inFlight == 0; });
 }
 
 } // namespace qdd::service

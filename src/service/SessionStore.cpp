@@ -5,8 +5,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+
+#include <unistd.h>
 
 namespace qdd::service {
 
@@ -35,6 +39,17 @@ std::uint64_t fnv1a(const std::string& s) {
 } // namespace
 
 SessionStore::SessionStore(SessionStoreOptions opts) : options(std::move(opts)) {
+  if (spillEnabled()) {
+    std::error_code ec;
+    if (!std::filesystem::is_directory(options.spillDir, ec)) {
+      throw std::invalid_argument("spill directory '" + options.spillDir +
+                                  "' does not exist or is not a directory");
+    }
+    if (::access(options.spillDir.c_str(), W_OK | X_OK) != 0) {
+      throw std::invalid_argument("spill directory '" + options.spillDir +
+                                  "' is not writable");
+    }
+  }
   const std::size_t n =
       std::min<std::size_t>(roundUpPow2(std::max<std::size_t>(1, options.shards)),
                             256);
@@ -344,8 +359,7 @@ void SessionStore::ensureResident(Entry& entry) {
   std::unique_ptr<sim::SimulationSession> simulation;
   std::unique_ptr<verify::VerificationSession> verification;
   try {
-    package = packageFactory ? packageFactory(entry.qubits)
-                             : std::make_unique<Package>(entry.qubits);
+    package = std::make_unique<Package>(entry.qubits);
     if (image.circuit) {
       simulation = std::make_unique<sim::SimulationSession>(
           *image.circuit, *package, entry.seed);

@@ -22,7 +22,6 @@
 
 #include "qdd/bridge/DDBuilder.hpp"
 #include "qdd/exec/Batch.hpp"
-#include "qdd/exec/DDForker.hpp"
 #include "qdd/exec/Portfolio.hpp"
 #include "qdd/exec/ThreadPool.hpp"
 #include "qdd/ir/Builders.hpp"
@@ -53,6 +52,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -144,7 +144,6 @@ int runSim(const std::string& path) {
               qc.numQubits(), qc.size());
   std::printf("%s\n", viz::circuitToAscii(qc).c_str());
   Package pkg(qc.numQubits());
-  exec::attachSharedForker(pkg);
   sim::SimulationSession session(qc, pkg);
   session.setOutcomeChooser(promptOutcome);
 
@@ -218,7 +217,6 @@ int runVerify(const std::string& leftPath, const std::string& rightPath) {
   std::printf("right '%s': %zu qubits, %zu operations\n", rightPath.c_str(),
               right.numQubits(), right.size());
   Package pkg(left.numQubits());
-  exec::attachSharedForker(pkg);
   verify::VerificationSession session(left, right, pkg);
   std::printf("starting from the identity (%zu nodes)\n",
               session.currentNodes());
@@ -320,7 +318,6 @@ int runMap(const std::string& path, const std::string& device) {
   // verify the flow end to end (paper ref. [28])
   if (qc.isPurelyUnitary() && cm.size() == qc.numQubits()) {
     Package pkg(qc.numQubits());
-  exec::attachSharedForker(pkg);
     const verify::EquivalenceChecker checker(qc,
                                              result.mappedWithRestore());
     std::printf("// verification (alternating scheme): %s\n",
@@ -357,7 +354,6 @@ int runSynth(const std::string& path) {
   std::printf("%s", qc.toOpenQASM().c_str());
   // verify against the spec via canonical DDs
   Package pkg(qc.numQubits());
-  exec::attachSharedForker(pkg);
   const mEdge spec = synth::buildPermutationDD(pkg, perm);
   const mEdge impl = bridge::buildFunctionality(qc, pkg);
   std::printf("// verification: %s\n",
@@ -370,7 +366,6 @@ int runSynth(const std::string& path) {
 int runTrace(const std::string& path, const std::string& tracePath) {
   const auto qc = load(path);
   Package pkg(qc.numQubits());
-  exec::attachSharedForker(pkg);
   viz::writeSimulationTrace(qc, pkg, tracePath);
   std::printf("wrote step-by-step simulation trace of '%s' (%zu operations) "
               "to %s\n",
@@ -396,7 +391,6 @@ int runProfile(const std::string& path) {
   try {
     const auto qc = load(path); // parser spans land in the trace
     Package pkg(qc.numQubits());
-  exec::attachSharedForker(pkg);
     sim::SimulationSession session(qc, pkg);
     // deterministic profile runs: always take the more probable outcome
     session.setOutcomeChooser(
@@ -549,7 +543,6 @@ int runPverify(const std::string& leftPath, const std::string& rightPath,
 int runShow(const std::string& path) {
   const auto qc = load(path);
   Package pkg(qc.numQubits());
-  exec::attachSharedForker(pkg);
   if (qc.isPurelyUnitary()) {
     const mEdge u = bridge::buildFunctionality(qc, pkg);
     std::printf("functionality DD of '%s': %zu nodes\n", path.c_str(),
@@ -633,11 +626,8 @@ int runServe(int argc, char** argv, int first) {
         serverOpts.net = service::NetMode::Epoll;
       } else if (mode == "poll") {
         serverOpts.net = service::NetMode::Poll;
-      } else if (mode == "threaded") {
-        serverOpts.net = service::NetMode::Threaded;
       } else {
-        std::fprintf(stderr,
-                     "serve: --net must be epoll, poll, or threaded\n");
+        std::fprintf(stderr, "serve: --net must be epoll or poll\n");
         return 2;
       }
     } else if (flag == "--idle-timeout") {
@@ -658,7 +648,14 @@ int runServe(int argc, char** argv, int first) {
   }
 
   service::ServiceMetrics metrics;
-  service::Api api(apiOpts, metrics);
+  std::unique_ptr<service::Api> apiOwner;
+  try {
+    apiOwner = std::make_unique<service::Api>(apiOpts, metrics);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "serve: %s\n", e.what());
+    return 2;
+  }
+  service::Api& api = *apiOwner;
   std::shared_ptr<obs::AggregatorSink> aggregator;
   if (enableObs) {
     aggregator = std::make_shared<obs::AggregatorSink>();
@@ -770,7 +767,7 @@ int main(int argc, char** argv) {
                  "            --access-log FILE --incident-dir DIR "
                  "--max-incidents N\n"
                  "            --slow-ms MS --no-tracing "
-                 "--net epoll|poll|threaded\n"
+                 "--net epoll|poll\n"
                  "            --idle-timeout MS --spill-dir DIR "
                  "--spill-after MS\n"
                  "            --spill-budget N --shards N]\n"

@@ -575,6 +575,28 @@ TEST(PackageGC, OperationsValidAfterCollection) {
   EXPECT_NEAR(vec[0].real(), 1., EPS);
 }
 
+TEST(PackageGC, RefcountSaturatesAndPinsTheNode) {
+  // Reference counts are 16-bit: a node that reaches IMMORTAL_REF stays
+  // pinned for the package's lifetime instead of wrapping around.
+  Package pkg(2);
+  const vEdge state = pkg.makeGHZState(2);
+  constexpr std::size_t COUNT = 80000; // > IMMORTAL_REF = 0xFFFF
+  for (std::size_t k = 0; k < COUNT; ++k) {
+    pkg.incRef(state);
+  }
+  EXPECT_EQ(state.p->ref, IMMORTAL_REF);
+  // Decrements never revive the counter into collectable range.
+  for (std::size_t k = 0; k < COUNT; ++k) {
+    pkg.decRef(state);
+  }
+  EXPECT_EQ(state.p->ref, IMMORTAL_REF);
+  EXPECT_TRUE(pkg.garbageCollect(true));
+  EXPECT_EQ(state.p->ref, IMMORTAL_REF);
+  // The node survived the sweep: rebuilding the state finds it again.
+  EXPECT_EQ(pkg.makeGHZState(2).p, state.p);
+  EXPECT_NEAR(pkg.norm(state), 1., EPS);
+}
+
 TEST(PackageNormalization, NormSchemeProbabilisticWeights) {
   Package pkg(2, NormalizationScheme::Norm);
   const vEdge ghz = pkg.makeGHZState(2);

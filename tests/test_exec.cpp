@@ -121,105 +121,54 @@ TEST(ThreadPoolTest, IdleWorkersStealFromABlockedSibling) {
   EXPECT_GT(stats.executedPerWorker[1], 8U);
 }
 
-// --- per-task seeds --------------------------------------------------------
-
-// --- fork/join -------------------------------------------------------------
-
-TEST(ThreadPoolTest, ForkJoinCompletesAllTasks) {
+TEST(ThreadPoolTest, DetachedSubmitsAllRun) {
+  // Declared before the pool, so the pool (and every task still queued on
+  // it) is gone before the state the tasks touch.
+  std::atomic<int> ran{0};
+  std::atomic<bool> laterRan{false};
+  std::atomic<bool> blockerDone{false};
   exec::ThreadPool pool(4);
-  std::atomic<int> done{0};
-  exec::TaskGroup group;
-  for (int k = 0; k < 32; ++k) {
-    pool.fork(group, [&done] { ++done; });
-  }
-  pool.waitAndWork(group);
-  EXPECT_EQ(done.load(), 32);
-  EXPECT_EQ(group.pendingCount(), 0U);
-  EXPECT_GE(pool.stats().forked, 32U);
-}
-
-TEST(ThreadPoolTest, NestedForkJoinOnOneWorkerDoesNotDeadlock) {
-  // Regression: a pool task blocking on subtasks it forked would deadlock a
-  // classic pool (the only worker waits for work only it could run).
-  // waitAndWork is help-first, so the waiter executes the subtasks itself.
-  exec::ThreadPool pool(1);
-  std::atomic<int> leaves{0};
-  exec::TaskGroup outer;
-  pool.fork(outer, [&pool, &leaves] {
-    exec::TaskGroup inner;
-    for (int k = 0; k < 4; ++k) {
-      pool.fork(inner, [&pool, &leaves] {
-        exec::TaskGroup innermost;
-        pool.fork(innermost, [&leaves] { ++leaves; });
-        pool.waitAndWork(innermost);
-      });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto waitFor = [&deadline](const auto& done) {
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    pool.waitAndWork(inner);
-  });
-  pool.waitAndWork(outer);
-  EXPECT_EQ(leaves.load(), 4);
-}
+  };
 
-TEST(ThreadPoolTest, ForkJoinRethrowsFirstTaskException) {
-  exec::ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  exec::TaskGroup group;
-  for (int k = 0; k < 8; ++k) {
-    pool.fork(group, [&completed, k] {
-      if (k == 3) {
-        throw std::runtime_error("task 3 failed");
+  // Every task must run, whichever deque it was dealt to and however the
+  // submits interleave.
+  constexpr int perThread = 5000;
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 2; ++t) {
+    submitters.emplace_back([&pool, &ran] {
+      for (int k = 0; k < perThread; ++k) {
+        pool.submit([&ran] { ran.fetch_add(1); });
       }
-      ++completed;
     });
   }
-  EXPECT_THROW(pool.waitAndWork(group), std::runtime_error);
-  // The join's postcondition holds even on failure: nothing left pending.
-  EXPECT_EQ(group.pendingCount(), 0U);
-  EXPECT_EQ(completed.load(), 7);
-}
+  for (auto& submitter : submitters) {
+    submitter.join();
+  }
+  waitFor([&ran] { return ran.load() == 2 * perThread; });
+  EXPECT_EQ(ran.load(), 2 * perThread);
 
-TEST(ThreadPoolTest, ExternalThreadHelpsWhileJoining) {
-  // Pin the pool's only worker inside a blocker task (tasks only ever run
-  // on workers or inside a waitAndWork, so once `started` is set the worker
-  // is the thread in it). The 8 tasks forked afterwards can then only be
-  // executed by the joining main thread — the external-helper path.
-  exec::ThreadPool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  exec::TaskGroup blocker;
-  pool.fork(blocker, [&started, &release] {
-    started.store(true);
-    while (!release.load()) {
+  // A task that blocks until a later-submitted task runs: another worker
+  // must be woken for the later task, or the blocker starves.
+  pool.submit([&laterRan, &blockerDone, deadline] {
+    while (!laterRan.load() && std::chrono::steady_clock::now() < deadline) {
       std::this_thread::yield();
     }
+    blockerDone.store(true);
   });
-  while (!started.load()) {
-    std::this_thread::yield();
-  }
-  exec::TaskGroup group;
-  std::atomic<int> done{0};
-  for (int k = 0; k < 8; ++k) {
-    pool.fork(group, [&done] { ++done; });
-  }
-  pool.waitAndWork(group);
-  EXPECT_EQ(done.load(), 8);
-  EXPECT_GE(pool.stats().helpedExternal, 8U);
-  release.store(true);
-  pool.waitAndWork(blocker);
+  pool.submit([&laterRan] { laterRan.store(true); });
+  waitFor([&blockerDone] { return blockerDone.load(); });
+  EXPECT_TRUE(laterRan.load());
+  EXPECT_TRUE(blockerDone.load());
+  EXPECT_EQ(pool.stats().detachedErrors, 0U);
 }
 
-TEST(ThreadPoolTest, TaskGroupIsReusableAfterJoin) {
-  exec::ThreadPool pool(2);
-  exec::TaskGroup group;
-  std::atomic<int> count{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int k = 0; k < 4; ++k) {
-      pool.fork(group, [&count] { ++count; });
-    }
-    pool.waitAndWork(group);
-  }
-  EXPECT_EQ(count.load(), 12);
-}
+// --- per-task seeds --------------------------------------------------------
 
 TEST(ExecTest, TaskSeedsAreDecorrelatedAndDeterministic) {
   std::set<std::uint64_t> seen;

@@ -1,19 +1,12 @@
 // Cache-conscious DD core layout: node geometry, open-addressed unique-table
-// behaviour under growth and garbage collection, the weight-product memo, and
-// bit-identity of the SIMD complex kernels against the scalar fallback
-// (cross-validated via canonical root pointers — table canonicity turns any
-// numeric drift into a different node identity).
+// behaviour under growth and garbage collection, and the weight-product memo.
 
-#include "qdd/bridge/DDBuilder.hpp"
-#include "qdd/complex/Simd.hpp"
 #include "qdd/dd/Package.hpp"
-#include "qdd/ir/Builders.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <complex>
-#include <cstring>
 #include <random>
 #include <vector>
 
@@ -49,103 +42,6 @@ TEST(NodeGeometry, AllocationsAreCacheLineAligned) {
     p = p->e[0].w.exactlyZero() ? p->e[1].p : p->e[0].p;
   }
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(gate.p) % 64U, 0U);
-}
-
-// --- SIMD kernels ------------------------------------------------------------
-
-std::vector<ComplexValue> randomValues(std::size_t count, unsigned seed) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> dist(-2., 2.);
-  std::vector<ComplexValue> out;
-  out.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    out.push_back({dist(rng), dist(rng)});
-  }
-  // A few adversarial magnitudes on top of the uniform draw.
-  out.push_back({1e-160, -1e-160});
-  out.push_back({1e155, 1e-155});
-  out.push_back({0., -0.});
-  out.push_back({SQRT2_2, -SQRT2_2});
-  return out;
-}
-
-bool bitIdentical(const ComplexValue& a, const ComplexValue& b) {
-  return std::memcmp(&a, &b, sizeof(ComplexValue)) == 0;
-}
-
-TEST(SimdKernels, MulBitIdenticalToScalar) {
-  const auto values = randomValues(64, 42);
-  for (const auto& a : values) {
-    for (const auto& b : values) {
-      const ComplexValue vec = simd::mul(a, b);
-      const ComplexValue ref = simd::mulScalar(a, b);
-      ASSERT_TRUE(bitIdentical(vec, ref))
-          << "(" << a.re << "," << a.im << ") * (" << b.re << "," << b.im
-          << ")";
-    }
-  }
-}
-
-TEST(SimdKernels, Mul3AndMulAdd2BitIdenticalToScalar) {
-  const auto values = randomValues(24, 7);
-  for (const auto& a : values) {
-    for (const auto& b : values) {
-      for (const auto& c : values) {
-        const ComplexValue vec3 = simd::mul3(a, b, c);
-        const ComplexValue ref3 =
-            simd::mulScalar(simd::mulScalar(a, b), c);
-        ASSERT_TRUE(bitIdentical(vec3, ref3));
-      }
-      const ComplexValue fma = simd::mulAdd2(a, b, b, a);
-      const ComplexValue refFma = [&] {
-        const ComplexValue t0 = simd::mulScalar(a, b);
-        const ComplexValue t1 = simd::mulScalar(b, a);
-        return ComplexValue{t0.re + t1.re, t0.im + t1.im};
-      }();
-      ASSERT_TRUE(bitIdentical(fma, refFma));
-    }
-  }
-}
-
-TEST(SimdKernels, ClassifyImmortalMatchesScalarBranches) {
-  const double tol = 1e-10;
-  const auto classifyRef = [&](double v) {
-    if (std::abs(v - 1.) <= tol) {
-      return 1;
-    }
-    if (std::abs(v - SQRT2_2) <= tol) {
-      return 2;
-    }
-    return 0;
-  };
-  std::mt19937_64 rng(99);
-  std::uniform_real_distribution<double> dist(0., 2.);
-  std::vector<double> probes{0.,       1.,        SQRT2_2,       1. + tol / 2,
-                             1. - tol, SQRT2_2 + tol / 2, SQRT2_2 - tol,
-                             0.5,      1. + 2 * tol,      SQRT2_2 + 2 * tol};
-  for (int k = 0; k < 200; ++k) {
-    probes.push_back(dist(rng));
-  }
-  for (const double v : probes) {
-    EXPECT_EQ(simd::classifyImmortal(v, tol), classifyRef(v)) << "v=" << v;
-  }
-}
-
-TEST(SimdKernels, ScopedScalarOverrideForcesScalarMode) {
-  const simd::Mode before = simd::activeMode();
-  {
-    simd::ScopedScalarOverride scalarOnly;
-    EXPECT_EQ(simd::activeMode(), simd::Mode::Scalar);
-    {
-      simd::ScopedScalarOverride nested;
-      EXPECT_EQ(simd::activeMode(), simd::Mode::Scalar);
-    }
-    EXPECT_EQ(simd::activeMode(), simd::Mode::Scalar);
-  }
-  EXPECT_EQ(simd::activeMode(), before);
-  EXPECT_STREQ(simd::toString(simd::Mode::Scalar), "scalar");
-  EXPECT_STREQ(simd::toString(simd::Mode::SSE2), "sse2");
-  EXPECT_STREQ(simd::toString(simd::Mode::AVX2), "avx2");
 }
 
 // --- open-addressed unique table under growth and GC -------------------------
@@ -270,77 +166,6 @@ TEST(WeightProductMemo, ZeroWindowProductCanonicalizesToZero) {
   const Complex product = pkg.mulWeights(tiny, alsoTiny); // |w| ~ 1e-14 < tol
   EXPECT_TRUE(product.exactlyZero());
   EXPECT_TRUE(pkg.mulWeights(tiny, alsoTiny).exactlyZero()); // memo hit
-}
-
-// --- SIMD vs scalar cross-validation on full circuits ------------------------
-
-class CrossValidation : public ::testing::Test {
-protected:
-  static void runBothModes(const ir::QuantumComputation& qc) {
-    const std::size_t n = qc.numQubits();
-    Package pkg(n);
-    vEdge simdState = pkg.makeZeroState(n);
-    vEdge scalarState = pkg.makeZeroState(n);
-    std::size_t step = 0;
-    for (const auto& op : qc) {
-      simdState = bridge::applyOperation(*op, n, simdState, pkg,
-                                         bridge::ApplyMode::Fast, nullptr);
-      {
-        simd::ScopedScalarOverride scalarOnly;
-        scalarState = bridge::applyOperation(*op, n, scalarState, pkg,
-                                             bridge::ApplyMode::Fast, nullptr);
-      }
-      // Same package, so hash consing makes equality exact pointer equality.
-      ASSERT_EQ(simdState.p, scalarState.p) << "diverged at op " << step;
-      ASSERT_TRUE(simdState.w == scalarState.w) << "diverged at op " << step;
-      ++step;
-    }
-  }
-};
-
-TEST_F(CrossValidation, QftRootsArePointerIdentical) {
-  runBothModes(ir::builders::qft(10));
-}
-
-TEST_F(CrossValidation, GroverRootsArePointerIdentical) {
-  runBothModes(ir::builders::grover(8, 37));
-}
-
-TEST_F(CrossValidation, RandomCliffordTGatesArePointerIdentical) {
-  constexpr std::size_t n = 8;
-  Package pkg(n);
-  vEdge simdState = pkg.makeZeroState(n);
-  vEdge scalarState = pkg.makeZeroState(n);
-  std::mt19937_64 rng(2024);
-  std::uniform_int_distribution<std::size_t> pickGate(0, 4);
-  std::uniform_int_distribution<Qubit> pickQubit(0, n - 1);
-  const GateMatrix* gates[] = {&H_MAT, &T_MAT, &S_MAT, &X_MAT, &Z_MAT};
-  for (int step = 0; step < 300; ++step) {
-    const GateMatrix& mat = *gates[pickGate(rng)];
-    const Qubit target = pickQubit(rng);
-    Qubit control = pickQubit(rng);
-    while (control == target) {
-      control = pickQubit(rng);
-    }
-    const bool controlled = (step % 3) == 0;
-    if (controlled) {
-      simdState = pkg.applyGate(mat, target, {QubitControl{control, true}},
-                                simdState);
-    } else {
-      simdState = pkg.applyGate(mat, target, simdState);
-    }
-    {
-      simd::ScopedScalarOverride scalarOnly;
-      if (controlled) {
-        scalarState = pkg.applyGate(mat, target, {QubitControl{control, true}},
-                                    scalarState);
-      } else {
-        scalarState = pkg.applyGate(mat, target, scalarState);
-      }
-    }
-    ASSERT_EQ(simdState.p, scalarState.p) << "diverged at step " << step;
-    ASSERT_TRUE(simdState.w == scalarState.w) << "diverged at step " << step;
-  }
 }
 
 } // namespace

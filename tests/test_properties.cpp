@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <map>
 #include <random>
 #include <set>
+#include <type_traits>
 
 namespace qdd {
 namespace {
@@ -79,15 +82,29 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CanonicityTest,
 
 // --- normalization invariants --------------------------------------------------
 
+// gtest has no printer for NormCase, so it names each case by the object's
+// raw bytes. Left as padding, the seven bytes after `scheme` held whatever
+// was on the stack (a stack-protector canary for two of the cases), and the
+// case names changed at every test discovery. `tag` spells those bytes out
+// with the values the cases were first listed under, so every build names
+// the six cases as before.
 struct NormCase {
   std::size_t n;
   NormalizationScheme scheme;
+  std::array<std::uint8_t, 7> tag;
 };
+static_assert(std::has_unique_object_representations_v<NormCase>,
+              "NormCase must have no padding: its bytes are its test name");
+
+constexpr std::array<std::uint8_t, 7> TAG_A{0x75, 0x59, 0x20};
+constexpr std::array<std::uint8_t, 7> TAG_B{0xFE, 0xFF, 0xFF, 0xFF,
+                                            0xFF, 0xFF, 0xFF};
+constexpr std::array<std::uint8_t, 7> TAG_C{};
 
 class NormalizationInvariants : public ::testing::TestWithParam<NormCase> {};
 
 TEST_P(NormalizationInvariants, TopEdgeNormalized) {
-  const auto [n, scheme] = GetParam();
+  const auto [n, scheme, tag] = GetParam();
   Package pkg(n, scheme);
   const auto vec = randomState(n, 23 * n + 1);
   const vEdge e = pkg.makeStateFromVector(vec);
@@ -125,12 +142,12 @@ TEST_P(NormalizationInvariants, TopEdgeNormalized) {
 
 INSTANTIATE_TEST_SUITE_P(
     Schemes, NormalizationInvariants,
-    ::testing::Values(NormCase{2, NormalizationScheme::Largest},
-                      NormCase{4, NormalizationScheme::Largest},
-                      NormCase{6, NormalizationScheme::Largest},
-                      NormCase{2, NormalizationScheme::Norm},
-                      NormCase{4, NormalizationScheme::Norm},
-                      NormCase{6, NormalizationScheme::Norm}));
+    ::testing::Values(NormCase{2, NormalizationScheme::Largest, TAG_A},
+                      NormCase{4, NormalizationScheme::Largest, TAG_B},
+                      NormCase{6, NormalizationScheme::Largest, TAG_A},
+                      NormCase{2, NormalizationScheme::Norm, TAG_B},
+                      NormCase{4, NormalizationScheme::Norm, TAG_C},
+                      NormCase{6, NormalizationScheme::Norm, TAG_C}));
 
 // --- unitarity & norm preservation --------------------------------------------
 

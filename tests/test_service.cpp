@@ -27,6 +27,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -787,25 +788,10 @@ TEST(ServiceNetTest, ReactorServesSessionLifecycle) {
   EXPECT_EQ(client.request("DELETE", "/v1/sessions/s1").status, 200);
 }
 
-TEST(ServiceNetTest, ThreadedModeStillServes) {
-  service::ServerOptions serverOpts;
-  serverOpts.net = service::NetMode::Threaded;
-  TestServer ts({}, serverOpts);
-  EXPECT_STREQ(ts.server->netName(), "threaded");
-  auto client = ts.client();
-  auto created = client.request("POST", "/v1/sessions",
-                                R"({"builder": {"name": "ghz", "qubits": 4}})");
-  ASSERT_EQ(created.status, 201);
-  auto ran = client.request("POST", "/v1/sessions/s1/run", "{}");
-  ASSERT_EQ(ran.status, 200);
-  EXPECT_TRUE(parsed(ran).getBool("atEnd", false));
-}
-
 TEST(ServiceNetTest, SilentClientDoesNotBlockOtherRequests) {
-  // One pool worker: under the old thread-per-connection model a silent
-  // client pinned a thread for the whole SO_RCVTIMEO window; the reactor
-  // must only hand *complete* requests to the pool, so the worker stays
-  // free for everyone else.
+  // One pool worker: a silent client must not pin it. The reactor only
+  // hands *complete* requests to the pool, so the worker stays free for
+  // everyone else.
   service::ServerOptions serverOpts;
   serverOpts.net = service::NetMode::Epoll;
   serverOpts.workers = 1;
@@ -888,6 +874,30 @@ std::string makeSpillDir(const char* tag) {
                           std::to_string(::getpid());
   ::mkdir(dir.c_str(), 0755);
   return dir;
+}
+
+TEST(ServiceSpillTest, MissingSpillDirectoryIsRejected) {
+  // Every spill into a missing directory would fail and keep its session
+  // resident, so the store refuses the configuration up front.
+  const std::string missing = ::testing::TempDir() + "qdd_spill_missing_" +
+                              std::to_string(::getpid());
+  ::rmdir(missing.c_str());
+  service::SessionStoreOptions opts;
+  opts.spillDir = missing;
+  EXPECT_THROW(service::SessionStore store(opts), std::invalid_argument);
+  // a regular file is no spill directory either
+  const std::string file = missing + ".file";
+  std::ofstream(file) << "x";
+  opts.spillDir = file;
+  EXPECT_THROW(service::SessionStore store(opts), std::invalid_argument);
+  ::unlink(file.c_str());
+  // the API (and `qdd-tool serve` with it) fails before serving anything
+  service::ServiceMetrics metrics;
+  service::ApiOptions apiOpts;
+  apiOpts.spillDir = missing;
+  EXPECT_THROW(service::Api api(apiOpts, metrics), std::invalid_argument);
+  opts.spillDir = makeSpillDir("usable");
+  EXPECT_NO_THROW(service::SessionStore store(opts));
 }
 
 TEST(ServiceSpillTest, SpilledSessionRestoresIdentically) {
