@@ -22,7 +22,14 @@
 // sessions (10k full / 1.5k quick) under a small resident budget,
 // force-spills the rest, and reports the marginal RSS per spilled idle
 // session plus 50 post-restore touches. check_bench_service.py gates the
-// RSS per idle session at 4 KiB and zero errors end to end.
+// RSS per idle session at 4 KiB and zero errors end to end. The spill
+// directory is removed when the phase ends.
+//
+// The `document` phase prices the response document against the DD work
+// it reports: GHZ-8 step requests dispatched in-process (no sockets), the
+// median dispatch time next to the median engine time the step responses
+// carry (`lastStep.durationUs`). check_bench_service.py gates
+// (dispatch - engine) / engine.
 
 #include "BenchUtil.hpp"
 
@@ -34,6 +41,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -317,6 +325,80 @@ SpillRecord idleSpillPhase(std::size_t sessions, const std::string& dir) {
   return rec;
 }
 
+struct DocumentRecord {
+  std::size_t steps = 0;
+  std::size_t errors = 0;
+  double dispatchP50Us = 0.;
+  double engineP50Us = 0.;
+  /// (dispatch - engine) / engine of the medians: what the response costs
+  /// per microsecond of DD work
+  double overheadRatio = 0.;
+};
+
+/// Steps GHZ-8 sessions `steps` times through Router::dispatch of an
+/// in-process Api (a reset after each end, untimed) and compares each step
+/// request's wall time with the engine time its response reports.
+DocumentRecord documentPhase(std::size_t steps) {
+  service::ServiceMetrics metrics;
+  service::Api api(service::ApiOptions{}, metrics);
+  service::Router router;
+  api.install(router);
+  const auto request = [&router](const char* method, const std::string& path,
+                                 const std::string& body) {
+    service::HttpRequest r;
+    r.method = method;
+    r.target = path;
+    r.path = path;
+    r.body = body;
+    return router.dispatch(r).response;
+  };
+
+  DocumentRecord rec;
+  const auto created = request("POST", "/v1/sessions",
+                               R"({"builder": {"name": "ghz", "qubits": 8}})");
+  if (created.status != 201) {
+    rec.errors = 1;
+    return rec;
+  }
+  const std::string id =
+      service::json::Value::parse(created.body).getString("id", "");
+  const std::string stepPath = "/v1/sessions/" + id + "/step";
+  const std::string resetPath = "/v1/sessions/" + id + "/reset";
+
+  std::vector<double> dispatchUs;
+  std::vector<double> engineUs;
+  while (dispatchUs.size() < steps) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto response = request("POST", stepPath, "{}");
+    dispatchUs.push_back(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count());
+    if (response.status != 200) {
+      ++rec.errors;
+      continue;
+    }
+    const auto doc = service::json::Value::parse(response.body);
+    const service::json::Value* last = doc.find("lastStep");
+    if (last == nullptr || doc.find("dd") == nullptr) {
+      ++rec.errors;
+      continue;
+    }
+    engineUs.push_back(last->getNumber("durationUs", 0.));
+    if (doc.getBool("atEnd", false) &&
+        request("POST", resetPath, "{}").status != 200) {
+      ++rec.errors;
+    }
+  }
+  rec.steps = dispatchUs.size();
+  rec.dispatchP50Us = percentile(dispatchUs, 50.);
+  rec.engineP50Us = percentile(engineUs, 50.);
+  if (rec.engineP50Us > 0.) {
+    rec.overheadRatio =
+        (rec.dispatchP50Us - rec.engineP50Us) / rec.engineP50Us;
+  }
+  return rec;
+}
+
 void printRecord(const char* label, const RunRecord& record,
                  unsigned cores) {
   std::printf("BENCH_SERVICE %s {\"clients\": %zu, \"requests\": %zu, "
@@ -340,7 +422,17 @@ int main(int argc, char** argv) {
   const std::size_t requestsPerClient = quick ? 60 : 400;
   const auto cores = std::thread::hardware_concurrency();
 
-  // Tracing phases first: the flight recorder arms process-wide the moment
+  // The document phase runs first, in a process with no server threads
+  // and the flight recorder still disarmed.
+  bench::heading("qdd::service step document vs engine (GHZ-8, in-process)");
+  const auto document = documentPhase(2000);
+  std::printf("%zu steps: dispatch p50 %.2f us, engine p50 %.2f us, "
+              "(dispatch - engine) / engine %.2f, %zu errors\n",
+              document.steps, document.dispatchP50Us, document.engineP50Us,
+              document.overheadRatio, document.errors);
+  bench::rule();
+
+  // Tracing phases next: the flight recorder arms process-wide the moment
   // any tracing-enabled server starts and never disarms, so the off-phase
   // must complete before the tracing-on phase or the main server below.
   bench::heading("qdd::service request tracing overhead (1 client, GHZ-8)");
@@ -391,6 +483,7 @@ int main(int argc, char** argv) {
   ::mkdir(spillDir.c_str(), 0755);
   bench::heading("qdd::service idle-session spill tier (Bell sessions)");
   const auto spill = idleSpillPhase(fleet, spillDir);
+  std::filesystem::remove_all(spillDir);
   std::printf("%zu sessions: %zu spilled, %zu resident, "
               "%.1f bytes RSS/idle session, touch p50 %.3f ms, %zu errors\n",
               spill.sessions, spill.spilled, spill.resident,
@@ -404,6 +497,13 @@ int main(int argc, char** argv) {
     std::snprintf(label, sizeof(label), "steps_c%zu", record.clients);
     printRecord(label, record, cores);
   }
+  std::printf("BENCH_SERVICE document {\"steps\": %zu, \"errors\": %zu, "
+              "\"dispatchP50Us\": %.3f, \"engineP50Us\": %.3f, "
+              "\"overheadRatio\": %.3f, \"hardwareConcurrency\": %u, "
+              "\"resources\": %s}\n",
+              document.steps, document.errors, document.dispatchP50Us,
+              document.engineP50Us, document.overheadRatio, cores,
+              bench::ResourceUsage::sample().toJson().c_str());
   std::printf("BENCH_SERVICE idle_spill {\"sessions\": %zu, "
               "\"spilled\": %zu, \"resident\": %zu, "
               "\"rssPerIdleSessionBytes\": %.1f, \"restoreTouches\": %zu, "
@@ -443,6 +543,7 @@ int main(int argc, char** argv) {
 
   server.drain();
   server.stop();
-  totalErrors += tracingOff.errors + tracingOn.errors + spill.errors;
+  totalErrors +=
+      tracingOff.errors + tracingOn.errors + spill.errors + document.errors;
   return totalErrors == 0 ? 0 : 1;
 }

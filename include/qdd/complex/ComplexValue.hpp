@@ -115,6 +115,8 @@ struct ComplexValue {
 
   /// Human-readable rendering, e.g. "0.707107+0.707107i".
   [[nodiscard]] std::string toString(int precision = 6) const;
+  /// Appends the toString() rendering to `out`.
+  void appendTo(std::string& out, int precision = 6) const;
 };
 
 std::ostream& operator<<(std::ostream& os, const ComplexValue& c);

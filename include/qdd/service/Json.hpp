@@ -5,9 +5,10 @@
 // tests. Deliberately small: no SAX interface, no number bignums, no
 // comments/trailing commas (requests violating RFC 8259 are 400s).
 //
-// String *writing* shares viz::jsonEscape / viz::jsonNumber with the DD
-// exporters, so every byte the service emits obeys the same escaping rules
-// (control characters escaped, NaN/Inf serialized as null, never bare).
+// String *writing* shares viz::appendJsonEscaped / viz::appendJsonNumber
+// with the DD exporters, so every byte the service emits obeys the same
+// escaping rules (control characters escaped, NaN/Inf serialized as null,
+// never bare). dump() appends the whole document to one string.
 
 #include <cstddef>
 #include <map>
@@ -30,7 +31,15 @@ public:
 /// on it, and deterministic iteration makes serialized output reproducible.
 class Value {
 public:
-  enum class Kind : std::uint8_t { Null, Bool, Number, String, Array, Object };
+  enum class Kind : std::uint8_t {
+    Null,
+    Bool,
+    Number,
+    String,
+    Array,
+    Object,
+    Raw ///< pre-serialized JSON text; see raw()
+  };
 
   Value() = default;
   static Value null() { return Value(); }
@@ -39,6 +48,12 @@ public:
   static Value string(std::string s);
   static Value array();
   static Value object();
+  /// A value whose serialized form the caller wrote already: dump() copies
+  /// `json` verbatim, and parse() never produces this kind. It lets a
+  /// document embed a large member (the DD of a session document) without
+  /// building a DOM for it. The caller vouches that `json` is one valid
+  /// JSON value.
+  static Value raw(std::string json);
 
   /// Strict parse of a complete JSON document (trailing whitespace allowed,
   /// trailing garbage is an error). Throws ParseError.
@@ -72,8 +87,11 @@ public:
   void push(Value v);
   void set(const std::string& key, Value v);
 
-  /// Serializes the value (single line, viz escaping/number rules).
+  /// Serializes the value: single line, object members in key order,
+  /// ", " and ": " separators, numbers with 12 significant digits.
   [[nodiscard]] std::string dump() const;
+  /// Appends the dump() form to `out`.
+  void dump(std::string& out) const;
 
 private:
   Kind k = Kind::Null;

@@ -11,9 +11,12 @@
 // by session-id hash (FNV-1a). Shard selection is lock-free; each shard
 // has its own mutex, entry map, and retired mem::StatsRegistry, so
 // create/find/evict on different sessions rarely contend. Lock order
-// invariant: a shard mutex is never taken while holding an entry mutex
-// *and vice versa* — stats folding collects under one lock, releases,
-// then merges under the other.
+// invariant: an entry mutex is never locked while a shard mutex is held,
+// so taking a shard mutex under an entry mutex cannot deadlock. Only the
+// restore path does that (it re-applies the resident budget while its
+// caller holds the restored entry), and it only try_locks the other
+// entries it spills. Stats folding collects under the entry lock,
+// releases it, then merges under the shard lock.
 //
 // Spill tier: when a spill directory is configured, cold sessions are
 // serialized (dd::Serialization text round-trip) to disk and their
@@ -88,6 +91,7 @@ public:
     std::size_t posR = 0;
     std::vector<bool> classicals;
     std::size_t peak = 0;
+    std::uint64_t outcomeDraws = 0; ///< RNG numbers drawn before the spill
   };
 
   struct Entry {
@@ -97,7 +101,7 @@ public:
     std::string kind; ///< "simulation" | "verification"
     std::string name; ///< circuit name(s), for listings
     std::size_t qubits = 0;
-    std::uint64_t seed = 0; ///< RNG seed, re-applied on restore
+    std::uint64_t seed = 0; ///< RNG seed; a restore resumes its stream
     /// Serializes all request processing on this session (the package
     /// underneath is single-threaded) and doubles as the restore-once
     /// guard: restores happen under this mutex.
@@ -143,10 +147,12 @@ public:
   /// lock the entry mutex and call ensureResident().
   std::shared_ptr<Entry> find(const std::string& id);
 
-  /// Restores `entry` from its spill file if (and only if) it is spilled.
-  /// REQUIRES the caller to hold entry->mutex — that is what makes
-  /// concurrent touches restore exactly once. Throws RestoreError when the
-  /// spill file is unreadable or corrupt (the entry stays spilled).
+  /// Restores `entry` from its spill file if (and only if) it is spilled,
+  /// then spills the coldest other sessions the resident budget no longer
+  /// has room for. REQUIRES the caller to hold entry->mutex — that is what
+  /// makes concurrent touches restore exactly once. Throws RestoreError
+  /// when the spill file is unreadable or corrupt (the entry stays
+  /// spilled).
   void ensureResident(Entry& entry);
 
   /// Removes a session (folding its stats, deleting any spill file);
@@ -224,6 +230,9 @@ private:
   [[nodiscard]] static std::int64_t nowMs();
 
   void retire(const std::shared_ptr<Entry>& entry);
+  /// enforceBudget() that never picks `keep`: the restore path holds that
+  /// entry's mutex, and try_lock on a mutex the thread owns is undefined.
+  std::size_t enforceBudgetExcept(const Entry* keep);
   /// try_locks the entry and spills it; false when busy or not spillable.
   bool trySpill(const std::shared_ptr<Entry>& entry);
   /// Spills with entry->mutex held; folds the package stats into `stats`.

@@ -55,6 +55,9 @@ public:
   [[nodiscard]] const std::vector<bool>& classicalBits() const noexcept {
     return classicals;
   }
+  /// Random numbers drawn for measurement and reset outcomes since
+  /// construction (the chooser and deterministic outcomes draw none).
+  [[nodiscard]] std::uint64_t outcomeDraws() const noexcept { return draws; }
 
   /// Current DD size and the peak over the whole session.
   [[nodiscard]] std::size_t currentNodes() const;
@@ -118,9 +121,13 @@ public:
   /// over — the restore half of a disk-spill round trip. Snapshot history
   /// is not part of the spill image: stepBackward() returns false until
   /// the next forward step, and runToStart() rewinds by rebuilding the
-  /// zero state instead of replaying snapshots.
+  /// zero state instead of replaying snapshots. Expects a freshly
+  /// constructed session with the spilled session's seed: the outcome RNG
+  /// skips `outcomeDraws` numbers, so later measurements continue the
+  /// stream they were drawing from.
   void restoreTo(const vEdge& state, std::size_t position,
-                 std::vector<bool> classicalBits, std::size_t peakNodes);
+                 std::vector<bool> classicalBits, std::size_t peakNodes,
+                 std::uint64_t outcomeDraws);
 
 private:
   /// True if the operation acts as a breakpoint for runToEnd().
@@ -145,6 +152,7 @@ private:
   std::vector<Snapshot> snapshots; ///< one per applied operation
   std::size_t pos = 0;
   std::mt19937_64 rng;
+  std::uint64_t draws = 0; ///< numbers taken from `rng`
   OutcomeChooser outcomeChooser;
   std::size_t peak = 0;
   std::vector<std::size_t> history;

@@ -13,7 +13,10 @@ struct Rgb {
   std::uint8_t g = 0;
   std::uint8_t b = 0;
 
+  /// "#rrggbb", lower-case hex digits.
   [[nodiscard]] std::string toHex() const;
+  /// Appends toHex() to `out`.
+  void appendHex(std::string& out) const;
   friend bool operator==(const Rgb& a, const Rgb& b) = default;
 };
 

@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Record / check the HTTP-service throughput records of bench_service.
 
-The bench prints two tracing phases, one line per client count (against
-the epoll reactor), an idle-session spill phase, and a summary:
+The bench prints an in-process document phase, two tracing phases, one
+line per client count (against the epoll reactor), an idle-session spill
+phase, and a summary:
 
+    BENCH_SERVICE document {"steps": 2000, "errors": 0,
+                            "dispatchP50Us": ..., "engineP50Us": ...,
+                            "overheadRatio": ..., ...}
     BENCH_SERVICE tracing_off {"clients": 1, "requests": ..., "errors": 0,
                                "rps": ..., "p50Ms": ..., "p95Ms": ...,
                                "hardwareConcurrency": ..., ...}
@@ -31,6 +35,12 @@ Hard gates (any machine, any core count):
   * latency percentiles are sane (0 < p50 <= p95);
   * serverRequests >= totalRequests — the server-side request counter saw
     every client-side request (drift means lost accounting);
+  * document cost: the GHZ-8 step requests of the document phase were
+    answered without error, and the median dispatch time exceeds the
+    median engine time of the same steps by at most MAX_DOCUMENT_OVERHEAD
+    (10) times the engine time: overheadRatio =
+    (dispatchP50Us - engineP50Us) / engineP50Us. Both medians come from the
+    same requests on the same machine, so this gate applies everywhere.
   * tracing overhead: the tracing-on single-client p50 stays within
     --max-tracing-overhead (default 10%) of the tracing-off p50, plus a
     0.05 ms absolute slack so micro-jitter on sub-millisecond requests
@@ -67,6 +77,10 @@ RUN_LABELS = ("tracing_off", "tracing_on", "steps_c1", "steps_c4",
               "steps_c8", "steps_c16", "steps_c64")
 SPILL_FIELDS = ("sessions", "spilled", "rssPerIdleSessionBytes",
                 "restoreTouches", "errors")
+DOCUMENT_FIELDS = ("steps", "errors", "dispatchP50Us", "engineP50Us",
+                   "overheadRatio")
+MIN_DOCUMENT_STEPS = 1000
+MAX_DOCUMENT_OVERHEAD = 10.0
 
 TRACING_SLACK_MS = 0.05
 
@@ -142,6 +156,31 @@ def validate(records):
                       "restored", file=sys.stderr)
                 failures += 1
 
+    document = records.get("document")
+    if document is None:
+        print("FAIL: missing BENCH_SERVICE record 'document'",
+              file=sys.stderr)
+        failures += 1
+    else:
+        missing = [f for f in DOCUMENT_FIELDS if f not in document]
+        if missing:
+            print(f"FAIL: document: missing field(s) {missing}",
+                  file=sys.stderr)
+            failures += 1
+        else:
+            if document["errors"] != 0:
+                print(f"FAIL: document: {document['errors']} failed step "
+                      "request(s)", file=sys.stderr)
+                failures += 1
+            if document["steps"] < MIN_DOCUMENT_STEPS:
+                print(f"FAIL: document: {document['steps']} steps, fewer "
+                      f"than {MIN_DOCUMENT_STEPS}", file=sys.stderr)
+                failures += 1
+            if document["engineP50Us"] <= 0:
+                print("FAIL: document: no engine time reported",
+                      file=sys.stderr)
+                failures += 1
+
     summary = records.get("summary")
     if summary is None:
         print("FAIL: missing BENCH_SERVICE record 'summary'",
@@ -174,6 +213,20 @@ def check_tracing_overhead(records, max_overhead):
     print(f"  tracing: p50 on {p50_on:.4f} ms vs off {p50_off:.4f} ms "
           f"(ceiling {ceiling:.4f}) {status}")
     return 0 if p50_on <= ceiling else 1
+
+
+def check_document_overhead(records, max_ratio):
+    """Response-document time per unit of engine time, same requests."""
+    document = records.get("document", {})
+    ratio = document.get("overheadRatio")
+    if ratio is None:
+        return 0  # validate() already failed the missing record
+    status = "ok" if ratio <= max_ratio else "FAIL"
+    print(f"  document: dispatch p50 {document.get('dispatchP50Us', 0):.2f} "
+          f"us, engine p50 {document.get('engineP50Us', 0):.2f} us, "
+          f"(dispatch - engine) / engine {ratio:.2f} (ceiling "
+          f"{max_ratio:.2f}) {status}")
+    return 0 if ratio <= max_ratio else 1
 
 
 def check_idle_rss(records, max_idle_rss):
@@ -255,6 +308,7 @@ def main():
         return 1
 
     failures = validate(records)
+    failures += check_document_overhead(records, MAX_DOCUMENT_OVERHEAD)
     failures += check_tracing_overhead(records, args.max_tracing_overhead)
     failures += check_idle_rss(records, args.max_idle_rss)
     if failures:

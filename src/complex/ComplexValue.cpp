@@ -1,22 +1,29 @@
 #include "qdd/complex/ComplexValue.hpp"
 
-#include <iomanip>
+#include "qdd/common/NumberFormat.hpp"
+
 #include <ostream>
-#include <sstream>
 
 namespace qdd {
 
 std::string ComplexValue::toString(int precision) const {
-  std::ostringstream ss;
-  ss << std::setprecision(precision);
+  std::string out;
+  appendTo(out, precision);
+  return out;
+}
+
+void ComplexValue::appendTo(std::string& out, int precision) const {
   if (im == 0.) {
-    ss << re;
+    appendGeneral(out, re, precision);
   } else if (re == 0.) {
-    ss << im << "i";
+    appendGeneral(out, im, precision);
+    out += 'i';
   } else {
-    ss << re << (im < 0. ? "-" : "+") << std::abs(im) << "i";
+    appendGeneral(out, re, precision);
+    out += im < 0. ? '-' : '+';
+    appendGeneral(out, std::abs(im), precision);
+    out += 'i';
   }
-  return ss.str();
 }
 
 std::ostream& operator<<(std::ostream& os, const ComplexValue& c) {

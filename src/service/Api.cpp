@@ -5,6 +5,7 @@
 #include "qdd/obs/Obs.hpp"
 #include "qdd/parser/qasm/Parser.hpp"
 #include "qdd/dd/Serialization.hpp"
+#include "qdd/service/DdJson.hpp"
 #include "qdd/service/RequestContext.hpp"
 #include "qdd/viz/DotExporter.hpp"
 #include "qdd/viz/Graph.hpp"
@@ -20,14 +21,6 @@ namespace {
 
 json::Value num(std::size_t n) {
   return json::Value::number(static_cast<double>(n));
-}
-
-/// Flattened DD of the session's current state as a json::Value (round-trip
-/// through the compact exporter, so the service and the file exporters emit
-/// the exact same document shape).
-json::Value ddValue(const viz::Graph& graph) {
-  const viz::JsonExporter exporter(10, /*compact=*/true);
-  return json::Value::parse(exporter.toJson(graph));
 }
 
 viz::Graph sessionGraph(SessionStore::Entry& entry) {
@@ -351,7 +344,7 @@ json::Value Api::sessionDoc(SessionStore::Entry& entry,
     }
   }
   if (includeDd) {
-    doc.set("dd", ddValue(sessionGraph(entry)));
+    doc.set("dd", json::Value::raw(ddJson(sessionGraph(entry))));
   }
   return doc;
 }

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 namespace qdd::service::json {
 
@@ -28,6 +27,13 @@ Value Value::string(std::string s) {
   Value v;
   v.k = Kind::String;
   v.str = std::move(s);
+  return v;
+}
+
+Value Value::raw(std::string json) {
+  Value v;
+  v.k = Kind::Raw;
+  v.str = std::move(json);
   return v;
 }
 
@@ -105,43 +111,60 @@ void Value::set(const std::string& key, Value v) {
 }
 
 std::string Value::dump() const {
-  std::ostringstream ss;
+  std::string out;
+  dump(out);
+  return out;
+}
+
+void Value::dump(std::string& out) const {
   switch (k) {
   case Kind::Null:
-    ss << "null";
+    out += "null";
     break;
   case Kind::Bool:
-    ss << (b ? "true" : "false");
+    out += b ? "true" : "false";
     break;
   case Kind::Number:
-    ss << viz::jsonNumber(num, 12);
+    viz::appendJsonNumber(out, num, 12);
     break;
   case Kind::String:
-    ss << '"' << viz::jsonEscape(str) << '"';
+    out += '"';
+    viz::appendJsonEscaped(out, str);
+    out += '"';
+    break;
+  case Kind::Raw:
+    out += str;
     break;
   case Kind::Array: {
-    ss << '[';
+    out += '[';
     bool first = true;
     for (const auto& v : arr) {
-      ss << (first ? "" : ", ") << v.dump();
+      if (!first) {
+        out += ", ";
+      }
       first = false;
+      v.dump(out);
     }
-    ss << ']';
+    out += ']';
     break;
   }
   case Kind::Object: {
-    ss << '{';
+    out += '{';
     bool first = true;
     for (const auto& [key, v] : obj) {
-      ss << (first ? "" : ", ") << '"' << viz::jsonEscape(key)
-         << "\": " << v.dump();
+      if (!first) {
+        out += ", ";
+      }
       first = false;
+      out += '"';
+      viz::appendJsonEscaped(out, key);
+      out += "\": ";
+      v.dump(out);
     }
-    ss << '}';
+    out += '}';
     break;
   }
   }
-  return ss.str();
 }
 
 // --- parser ------------------------------------------------------------------

@@ -214,6 +214,10 @@ std::size_t SessionStore::evictExpired() {
 }
 
 std::size_t SessionStore::enforceBudget() {
+  return enforceBudgetExcept(nullptr);
+}
+
+std::size_t SessionStore::enforceBudgetExcept(const Entry* keep) {
   if (!spillEnabled() || options.maxResident == 0) {
     return 0;
   }
@@ -225,7 +229,8 @@ std::size_t SessionStore::enforceBudget() {
   for (const auto& shard : shards) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     for (const auto& [id, entry] : shard->entries) {
-      if (!entry->spilled.load(std::memory_order_relaxed)) {
+      if (!entry->spilled.load(std::memory_order_relaxed) &&
+          entry.get() != keep) {
         resident.push_back(entry);
       }
     }
@@ -293,6 +298,7 @@ bool SessionStore::spillLocked(Entry& entry, mem::StatsRegistry& stats) {
     image->position = s.position();
     image->classicals = s.classicalBits();
     image->peak = s.peakNodes();
+    image->outcomeDraws = s.outcomeDraws();
   } else if (entry.verification) {
     const verify::VerificationSession& v = *entry.verification;
     text = serializeToString(v.state(), entry.qubits);
@@ -367,7 +373,7 @@ void SessionStore::ensureResident(Entry& entry) {
       // so the adopted root is this package's canonical representative
       const vEdge root = deserializeVectorFromString(*package, text);
       simulation->restoreTo(root, image.position, image.classicals,
-                            image.peak);
+                            image.peak, image.outcomeDraws);
     } else {
       verification = std::make_unique<verify::VerificationSession>(
           *image.left, *image.right, *package);
@@ -394,6 +400,7 @@ void SessionStore::ensureResident(Entry& entry) {
   residentN.fetch_add(1, std::memory_order_relaxed);
   spilledNowN.fetch_sub(1, std::memory_order_relaxed);
   restoresN.fetch_add(1, std::memory_order_relaxed);
+  enforceBudgetExcept(&entry);
 }
 
 void SessionStore::retire(const std::shared_ptr<Entry>& entry) {

@@ -68,6 +68,7 @@ int SimulationSession::chooseOutcome(Qubit q, double p1) {
     return outcome;
   }
   std::uniform_real_distribution<double> dist(0., 1.);
+  ++draws;
   return dist(rng) < p1 ? 1 : 0;
 }
 
@@ -239,10 +240,17 @@ std::size_t SimulationSession::runToStart() {
 
 void SimulationSession::restoreTo(const vEdge& state, std::size_t position,
                                   std::vector<bool> classicalBits,
-                                  std::size_t peakNodes) {
+                                  std::size_t peakNodes,
+                                  std::uint64_t outcomeDraws) {
   if (position > qc.size()) {
     throw std::invalid_argument(
         "SimulationSession::restoreTo: position beyond circuit end");
+  }
+  // skip the draws chooseOutcome made, with the distribution it made them
+  // with
+  std::uniform_real_distribution<double> dist(0., 1.);
+  for (; draws < outcomeDraws; ++draws) {
+    (void)dist(rng);
   }
   pkg.incRef(state);
   pkg.decRef(current);

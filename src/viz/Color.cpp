@@ -2,14 +2,22 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace qdd::viz {
 
 std::string Rgb::toHex() const {
-  char buf[8];
-  std::snprintf(buf, sizeof(buf), "#%02x%02x%02x", r, g, b);
-  return buf;
+  std::string out;
+  appendHex(out);
+  return out;
+}
+
+void Rgb::appendHex(std::string& out) const {
+  constexpr const char* digits = "0123456789abcdef";
+  const char hex[7] = {'#',
+                       digits[r >> 4U], digits[r & 0xFU],
+                       digits[g >> 4U], digits[g & 0xFU],
+                       digits[b >> 4U], digits[b & 0xFU]};
+  out.append(hex, sizeof(hex));
 }
 
 namespace {

@@ -1,19 +1,25 @@
 #include "qdd/viz/JsonExporter.hpp"
 
+#include "qdd/common/NumberFormat.hpp"
 #include "qdd/viz/Color.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace qdd::viz {
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+void appendJsonEscaped(std::string& out, std::string_view s) {
+  // plain characters are copied in runs; only the escapes are written one
+  // by one
+  std::size_t plain = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s.data() + plain, i - plain);
+    plain = i + 1;
     switch (c) {
     case '"':
       out += "\\\"";
@@ -37,41 +43,54 @@ std::string jsonEscape(const std::string& s) {
       out += "\\f";
       break;
     default:
-      if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(c)));
-        out += buf;
-      } else {
-        out += c;
-      }
+      out += "\\u00";
+      out += static_cast<char>('0' + (c >> 4U));
+      out += "0123456789abcdef"[c & 0xFU];
       break;
     }
   }
+  out.append(s.data() + plain, s.size() - plain);
+}
+
+std::string jsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  appendJsonEscaped(out, s);
   return out;
 }
 
-std::string jsonNumber(double v, int precision) {
+void appendJsonNumber(std::string& out, double v, int precision) {
   if (!std::isfinite(v)) {
-    return "null"; // NaN/Inf have no JSON literal; never emit them bare
+    out += "null"; // NaN/Inf have no JSON literal; never emit them bare
+    return;
   }
-  std::ostringstream ss;
-  ss.precision(precision);
-  ss << v;
-  return ss.str();
+  appendGeneral(out, v, precision);
+}
+
+std::string jsonNumber(double v, int precision) {
+  std::string out;
+  appendJsonNumber(out, v, precision);
+  return out;
 }
 
 namespace {
 
-std::string weightJson(const ComplexValue& w, int precision) {
-  std::ostringstream ss;
-  ss << "{\"re\": " << jsonNumber(w.re, precision) << ", \"im\": "
-     << jsonNumber(w.im, precision) << ", \"mag\": "
-     << jsonNumber(w.mag(), precision) << ", \"phase\": "
-     << jsonNumber(w.arg(), precision) << ", \"color\": \""
-     << weightToColor(w).toHex() << "\", \"thickness\": "
-     << jsonNumber(magnitudeToThickness(w.mag()), 3) << "}";
-  return ss.str();
+void appendWeight(std::string& out, const ComplexValue& w, int precision) {
+  const double mag = w.mag();
+  const double phase = w.arg();
+  out += "{\"re\": ";
+  appendJsonNumber(out, w.re, precision);
+  out += ", \"im\": ";
+  appendJsonNumber(out, w.im, precision);
+  out += ", \"mag\": ";
+  appendJsonNumber(out, mag, precision);
+  out += ", \"phase\": ";
+  appendJsonNumber(out, phase, precision);
+  out += ", \"color\": \"";
+  phaseToColor(phase).appendHex(out);
+  out += "\", \"thickness\": ";
+  appendJsonNumber(out, magnitudeToThickness(mag), 3);
+  out += '}';
 }
 
 } // namespace
@@ -83,65 +102,121 @@ std::string JsonExporter::toJson(const Graph& g) const {
   const char* ind = compact ? "" : "  ";
   const char* ind2 = compact ? "" : "    ";
   const char* sp = compact ? "" : " ";
+  // opens member `key` of the top-level object
+  const auto member = [&](std::string& out, const char* key) {
+    out += ind;
+    out += '"';
+    out += key;
+    out += "\":";
+    out += sp;
+  };
 
-  std::ostringstream ss;
-  ss << "{" << nl;
-  ss << ind << "\"kind\":" << sp << "\""
-     << (g.isMatrix ? "matrix" : "vector") << "\"," << nl;
-  ss << ind << "\"radix\":" << sp << g.radix << "," << nl;
+  std::string out;
+  out.reserve(256 + 160 * g.edges.size() + 48 * g.nodes.size());
+  out += '{';
+  out += nl;
+  member(out, "kind");
+  out += g.isMatrix ? "\"matrix\"," : "\"vector\",";
+  out += nl;
+  member(out, "radix");
+  appendInteger(out, g.radix);
+  out += ',';
+  out += nl;
   if (g.isMatrix && g.span > 0) {
-    ss << ind << "\"span\":" << sp << g.span << "," << nl;
+    member(out, "span");
+    appendInteger(out, g.span);
+    out += ',';
+    out += nl;
   }
   if (g.empty()) {
     if (g.isMatrix && !(g.rootWeight.re == 0. && g.rootWeight.im == 0.)) {
       // identity-skipping: w * I_span collapses to a bare terminal
-      ss << ind << "\"root\":" << sp << "{\"node\": \"terminal\""
-         << ", \"skippedLevels\": " << g.rootSkippedLevels
-         << ", \"weight\": " << weightJson(g.rootWeight, precision) << "},"
-         << nl << ind << "\"nodes\":" << sp << "[]," << nl << ind
-         << "\"edges\":" << sp << "[]" << nl << "}" << nl;
-      return ss.str();
+      member(out, "root");
+      out += "{\"node\": \"terminal\", \"skippedLevels\": ";
+      appendInteger(out, g.rootSkippedLevels);
+      out += ", \"weight\": ";
+      appendWeight(out, g.rootWeight, precision);
+      out += "},";
+    } else {
+      member(out, "zero");
+      out += "true,";
     }
-    ss << ind << "\"zero\":" << sp << "true," << nl << ind << "\"nodes\":"
-       << sp << "[]," << nl << ind << "\"edges\":" << sp << "[]" << nl << "}"
-       << nl;
-    return ss.str();
+    out += nl;
+    member(out, "nodes");
+    out += "[],";
+    out += nl;
+    member(out, "edges");
+    out += "[]";
+    out += nl;
+    out += '}';
+    out += nl;
+    return out;
   }
-  ss << ind << "\"root\":" << sp << "{\"node\": " << g.rootNode;
+  member(out, "root");
+  out += "{\"node\": ";
+  appendInteger(out, g.rootNode);
   if (g.rootSkippedLevels > 0) {
-    ss << ", \"skippedLevels\": " << g.rootSkippedLevels;
+    out += ", \"skippedLevels\": ";
+    appendInteger(out, g.rootSkippedLevels);
   }
-  ss << ", \"weight\": " << weightJson(g.rootWeight, precision) << "}," << nl;
-  ss << ind << "\"nodes\":" << sp << "[" << nl;
+  out += ", \"weight\": ";
+  appendWeight(out, g.rootWeight, precision);
+  out += "},";
+  out += nl;
+  member(out, "nodes");
+  out += '[';
+  out += nl;
   for (std::size_t k = 0; k < g.nodes.size(); ++k) {
-    ss << ind2 << "{\"id\": " << g.nodes[k].id
-       << ", \"level\": " << g.nodes[k].level << ", \"label\": \""
-       << jsonEscape("q" + std::to_string(g.nodes[k].level)) << "\"}"
-       << (k + 1 < g.nodes.size() ? "," : "") << nl;
+    out += ind2;
+    out += "{\"id\": ";
+    appendInteger(out, g.nodes[k].id);
+    out += ", \"level\": ";
+    appendInteger(out, g.nodes[k].level);
+    out += ", \"label\": \"q";
+    appendInteger(out, g.nodes[k].level);
+    out += k + 1 < g.nodes.size() ? "\"}," : "\"}";
+    out += nl;
   }
-  ss << ind << "]," << nl;
-  ss << ind << "\"edges\":" << sp << "[" << nl;
+  out += ind;
+  out += "],";
+  out += nl;
+  member(out, "edges");
+  out += '[';
+  out += nl;
   for (std::size_t k = 0; k < g.edges.size(); ++k) {
     const auto& e = g.edges[k];
-    ss << ind2 << "{\"from\": " << e.from << ", \"port\": " << e.port;
+    out += ind2;
+    out += "{\"from\": ";
+    appendInteger(out, e.from);
+    out += ", \"port\": ";
+    appendInteger(out, e.port);
     if (e.zeroStub) {
-      ss << ", \"zeroStub\": true";
+      out += ", \"zeroStub\": true";
     } else {
-      ss << ", \"to\": "
-         << (e.to == Graph::TERMINAL_ID ? std::string("\"terminal\"")
-                                        : std::to_string(e.to));
-      if (e.skippedLevels > 0) {
-        ss << ", \"skippedLevels\": " << e.skippedLevels;
+      out += ", \"to\": ";
+      if (e.to == Graph::TERMINAL_ID) {
+        out += "\"terminal\"";
+      } else {
+        appendInteger(out, e.to);
       }
-      ss << ", \"weight\": " << weightJson(e.weight, precision);
+      if (e.skippedLevels > 0) {
+        out += ", \"skippedLevels\": ";
+        appendInteger(out, e.skippedLevels);
+      }
+      out += ", \"weight\": ";
+      appendWeight(out, e.weight, precision);
     }
-    ss << "}" << (k + 1 < g.edges.size() ? "," : "") << nl;
+    out += k + 1 < g.edges.size() ? "}," : "}";
+    out += nl;
   }
-  ss << ind << "]" << nl << "}";
+  out += ind;
+  out += ']';
+  out += nl;
+  out += '}';
   if (!compact) {
-    ss << "\n";
+    out += '\n';
   }
-  return ss.str();
+  return out;
 }
 
 void JsonExporter::writeFile(const std::string& path, const Graph& g) const {

@@ -14,8 +14,7 @@ std::string toDirac(Package& pkg, const vEdge& state, int precision,
   }
   const auto n = static_cast<std::size_t>(state.p->v) + 1;
   const auto vec = pkg.getVector(state);
-  std::ostringstream ss;
-  ss << std::setprecision(precision);
+  std::string out;
   bool first = true;
   for (std::size_t idx = 0; idx < vec.size(); ++idx) {
     const std::complex<double> amp = vec[idx];
@@ -23,27 +22,29 @@ std::string toDirac(Package& pkg, const vEdge& state, int precision,
       continue;
     }
     if (!first) {
-      ss << " + ";
+      out += " + ";
     }
     first = false;
     const ComplexValue a{amp.real(), amp.imag()};
     if (a.im == 0. && a.re == 1.) {
       // amplitude 1: omit
     } else if (a.im != 0. && a.re != 0.) {
-      ss << "(" << a.toString(precision) << ")";
+      out += '(';
+      a.appendTo(out, precision);
+      out += ')';
     } else {
-      ss << a.toString(precision);
+      a.appendTo(out, precision);
     }
-    ss << "|";
+    out += '|';
     for (std::size_t k = n; k-- > 0;) {
-      ss << ((idx >> k) & 1ULL);
+      out += ((idx >> k) & 1ULL) != 0 ? '1' : '0';
     }
-    ss << ">";
+    out += '>';
   }
   if (first) {
     return "0";
   }
-  return ss.str();
+  return out;
 }
 
 std::string formatMatrixOmega(const std::vector<std::complex<double>>& mat,

@@ -20,12 +20,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -869,12 +869,24 @@ TEST(ServiceApiTest, BinaryDdExportRoundTripsAgainstJson) {
 
 // --- spill tier --------------------------------------------------------------
 
-std::string makeSpillDir(const char* tag) {
-  const std::string dir = ::testing::TempDir() + "qdd_spill_" + tag + "_" +
-                          std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
+/// A spill directory under the gtest temp dir, removed with its contents
+/// when the test ends. Declare it before the server or store that spills
+/// into it, so it outlives them.
+struct SpillDir {
+  explicit SpillDir(const char* tag)
+      : path(::testing::TempDir() + "qdd_spill_" + tag + "_" +
+             std::to_string(::getpid())) {
+    std::filesystem::create_directories(path);
+  }
+  ~SpillDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  SpillDir(const SpillDir&) = delete;
+  SpillDir& operator=(const SpillDir&) = delete;
+
+  const std::string path;
+};
 
 TEST(ServiceSpillTest, MissingSpillDirectoryIsRejected) {
   // Every spill into a missing directory would fail and keep its session
@@ -896,13 +908,15 @@ TEST(ServiceSpillTest, MissingSpillDirectoryIsRejected) {
   service::ApiOptions apiOpts;
   apiOpts.spillDir = missing;
   EXPECT_THROW(service::Api api(apiOpts, metrics), std::invalid_argument);
-  opts.spillDir = makeSpillDir("usable");
+  const SpillDir usable("usable");
+  opts.spillDir = usable.path;
   EXPECT_NO_THROW(service::SessionStore store(opts));
 }
 
 TEST(ServiceSpillTest, SpilledSessionRestoresIdentically) {
+  const SpillDir spill("restore");
   service::ApiOptions apiOpts;
-  apiOpts.spillDir = makeSpillDir("restore");
+  apiOpts.spillDir = spill.path;
   TestServer ts(apiOpts);
   auto client = ts.client();
   auto created = client.request("POST", "/v1/sessions",
@@ -946,8 +960,9 @@ TEST(ServiceSpillTest, SpilledSessionRestoresIdentically) {
 }
 
 TEST(ServiceSpillTest, VerificationSessionSurvivesSpill) {
+  const SpillDir spill("verif");
   service::ApiOptions apiOpts;
-  apiOpts.spillDir = makeSpillDir("verif");
+  apiOpts.spillDir = spill.path;
   TestServer ts(apiOpts);
   auto client = ts.client();
   const std::string spec =
@@ -968,8 +983,9 @@ TEST(ServiceSpillTest, VerificationSessionSurvivesSpill) {
 }
 
 TEST(ServiceSpillTest, ConcurrentTouchesRestoreOnce) {
+  const SpillDir spill("concurrent");
   service::ApiOptions apiOpts;
-  apiOpts.spillDir = makeSpillDir("concurrent");
+  apiOpts.spillDir = spill.path;
   service::ServerOptions serverOpts;
   serverOpts.workers = 4;
   TestServer ts(apiOpts, serverOpts);
@@ -1007,8 +1023,9 @@ TEST(ServiceSpillTest, ConcurrentTouchesRestoreOnce) {
 }
 
 TEST(ServiceSpillTest, BudgetSpillsColdestSessions) {
+  const SpillDir spill("budget");
   service::ApiOptions apiOpts;
-  apiOpts.spillDir = makeSpillDir("budget");
+  apiOpts.spillDir = spill.path;
   apiOpts.maxSessions = 32;
   apiOpts.maxResidentSessions = 2;
   TestServer ts(apiOpts);
@@ -1032,15 +1049,147 @@ TEST(ServiceSpillTest, BudgetSpillsColdestSessions) {
   }
 }
 
+/// One request through Router::dispatch, no sockets.
+service::HttpResponse dispatch(const service::Router& router,
+                               const std::string& method,
+                               const std::string& path,
+                               const std::string& body = "") {
+  service::HttpRequest request;
+  request.method = method;
+  request.target = path;
+  request.path = path;
+  request.body = body;
+  return router.dispatch(request).response;
+}
+
+/// The basis state a one-qubit session document shows: "|0>" or "|1>",
+/// with or without an amplitude in front.
+char measuredBit(const service::HttpResponse& response) {
+  const std::string state = Value::parse(response.body).getString("state", "");
+  return state.size() >= 2 ? state[state.size() - 2] : '?';
+}
+
+TEST(ServiceSpillTest, RestoredSessionKeepsItsRngStream) {
+  // Eight measurements of |+>, each made right after the session came back
+  // from disk. The outcomes must be the ones a session that never left
+  // memory draws from the same seed.
+  std::string qasm = R"(OPENQASM 2.0;\ninclude \"qelib1.inc\";\n)"
+                     R"(qreg q[1];\ncreg c[8];\n)";
+  for (int k = 0; k < 8; ++k) {
+    qasm += "h q[0];\\nmeasure q[0] -> c[" + std::to_string(k) + "];\\n";
+  }
+  const std::string spec = R"({"seed": 1, "qasm": ")" + qasm + "\"}";
+
+  const auto outcomes = [&spec](service::Api& api, bool spillEveryMeasure) {
+    service::Router router;
+    api.install(router);
+    EXPECT_EQ(dispatch(router, "POST", "/v1/sessions", spec).status, 201);
+    EXPECT_EQ(dispatch(router, "POST", "/v1/sessions",
+                       R"({"builder": {"name": "bell"}})")
+                  .status,
+              201);
+    std::string bits;
+    for (int k = 0; k < 8; ++k) {
+      EXPECT_EQ(dispatch(router, "POST", "/v1/sessions/s1/step").status, 200);
+      const auto measured = dispatch(router, "POST", "/v1/sessions/s1/step");
+      EXPECT_EQ(measured.status, 200);
+      bits += measuredBit(measured);
+      // touching the other session restores it, and the budget of one
+      // resident session spills s1
+      EXPECT_EQ(dispatch(router, "GET", "/v1/sessions/s2").status, 200);
+      if (spillEveryMeasure) {
+        EXPECT_TRUE(api.sessions().find("s1")->spilled.load());
+      }
+    }
+    return bits;
+  };
+
+  service::ServiceMetrics residentMetrics;
+  service::Api resident(service::ApiOptions{}, residentMetrics);
+  const std::string expected = outcomes(resident, false);
+
+  const SpillDir spill("rng");
+  service::ApiOptions apiOpts;
+  apiOpts.spillDir = spill.path;
+  apiOpts.maxResidentSessions = 1;
+  service::ServiceMetrics spilledMetrics;
+  service::Api spilled(apiOpts, spilledMetrics);
+  const std::string got = outcomes(spilled, true);
+
+  EXPECT_EQ(got, expected);
+  EXPECT_NE(expected.find('0'), std::string::npos) << expected;
+  EXPECT_NE(expected.find('1'), std::string::npos) << expected;
+  EXPECT_GE(spilled.sessions().restores(), 8U);
+}
+
+TEST(ServiceSpillTest, RestoreKeepsTheResidentBudget) {
+  const SpillDir spill("rebudget");
+  service::ApiOptions apiOpts;
+  apiOpts.spillDir = spill.path;
+  apiOpts.maxResidentSessions = 2;
+  service::ServiceMetrics metrics;
+  service::Api api(apiOpts, metrics);
+  service::Router router;
+  api.install(router);
+  auto& store = api.sessions();
+
+  // four GHZ-3 sessions, each one gate in: what each answers while resident
+  std::vector<std::string> ids;
+  std::vector<Value> residentDocs;
+  std::vector<std::string> residentDds;
+  for (int k = 0; k < 4; ++k) {
+    const auto created = dispatch(router, "POST", "/v1/sessions",
+                                  R"({"builder": {"name": "ghz", "qubits": 3}})");
+    ASSERT_EQ(created.status, 201);
+    ids.push_back(Value::parse(created.body).getString("id", ""));
+    const std::string path = "/v1/sessions/" + ids.back();
+    ASSERT_EQ(dispatch(router, "POST", path + "/step").status, 200);
+    residentDocs.push_back(Value::parse(dispatch(router, "GET", path).body));
+    residentDds.push_back(dispatch(router, "GET", path + "/dd?fmt=json").body);
+    EXPECT_LE(store.residentCount(), 2U);
+  }
+
+  // touch every spilled session in turn, three rounds over the four
+  std::size_t touched = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      if (!store.find(ids[k])->spilled.load()) {
+        continue;
+      }
+      const std::string path = "/v1/sessions/" + ids[k];
+      const auto got = dispatch(router, "GET", path);
+      ASSERT_EQ(got.status, 200) << ids[k];
+      ++touched;
+      EXPECT_LE(store.residentCount(), 2U) << "after touching " << ids[k];
+      EXPECT_FALSE(store.find(ids[k])->spilled.load()) << ids[k];
+      const Value doc = Value::parse(got.body);
+      for (const char* key : {"position", "nodes", "peakNodes"}) {
+        EXPECT_EQ(doc.getNumber(key, -1), residentDocs[k].getNumber(key, -2))
+            << ids[k] << " " << key;
+      }
+      EXPECT_EQ(doc.getString("state", "?"),
+                residentDocs[k].getString("state", "!"))
+          << ids[k];
+      EXPECT_EQ(dispatch(router, "GET", path + "/dd?fmt=json").body,
+                residentDds[k])
+          << ids[k];
+    }
+  }
+  EXPECT_GE(touched, 6U);
+  EXPECT_EQ(store.residentCount() + store.spilledCount(), 4U);
+  EXPECT_EQ(store.restoreFailures(), 0U);
+}
+
 TEST(ServiceSpillTest, ShardedStoreSurvivesParallelChurn) {
   // Direct store-level stress: create/publish/find/spill/restore/erase
   // racing across shards. Run under TSan in CI (the per-shard mutexes,
   // atomic LRU stamps, and the entry-mutex restore guard are the units
   // under test).
+  const SpillDir spill("churn");
   service::SessionStoreOptions opts;
   opts.maxSessions = 64;
   opts.shards = 8;
-  opts.spillDir = makeSpillDir("churn");
+  opts.spillDir = spill.path;
   opts.maxResident = 8;
   service::SessionStore store(opts);
 
