@@ -21,7 +21,8 @@ struct TraceCheckResult {
   bool hasStats = false;        ///< top-level "qddStats" object present
 };
 
-/// Checks that `json` parses as strict JSON, has a "traceEvents" array whose
+/// Checks that `text` parses with the package's strict JSON parser
+/// (qdd::json::Value::parse), has a "traceEvents" array whose
 /// elements all carry name/ph (plus ts for everything except "M" metadata
 /// events, and dur for "X" events), that `ts` is monotonically non-decreasing
 /// in array order, and that "X" spans observe per-thread stack discipline:
@@ -30,13 +31,13 @@ struct TraceCheckResult {
 /// overlap freely). With `requireStepMetrics`, at least one "sim.step"
 /// instant must carry the per-step DD metric args (nodes,
 /// cacheHitRatioDelta, nodesPerLevel, gcRuns).
-TraceCheckResult validateChromeTrace(const std::string& json,
+TraceCheckResult validateChromeTrace(const std::string& text,
                                      bool requireStepMetrics = false);
 
 /// Checks a flight-recorder incident dump (GET /v1/incidents/{id}): the
 /// document must pass `validateChromeTrace`, carry a top-level "traceId"
 /// that is 32 lowercase hex digits and not all-zero, and every "X" span's
 /// args.trace_id must equal it — one incident is exactly one trace.
-TraceCheckResult validateIncidentTrace(const std::string& json);
+TraceCheckResult validateIncidentTrace(const std::string& text);
 
 } // namespace qdd::obs

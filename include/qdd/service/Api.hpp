@@ -66,8 +66,6 @@ struct ApiOptions {
   /// Soft cap on sessions holding a live DD package; the coldest beyond
   /// it are spilled. 0 means unlimited.
   std::size_t maxResidentSessions = 0;
-  /// SessionStore shard count (rounded up to a power of two).
-  std::size_t sessionShards = 8;
 };
 
 class Api {

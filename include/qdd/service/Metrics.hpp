@@ -83,13 +83,12 @@ namespace prom {
 
 /// Escapes a label value (backslash, quote, newline).
 [[nodiscard]] std::string escapeLabel(const std::string& value);
-/// Locale-independent %.9g double formatting ("." decimal point).
-[[nodiscard]] std::string number(double value);
 /// Appends "# HELP name help\n# TYPE name type\n".
 void family(std::string& out, const char* name, const char* type,
             const char* help);
 /// Appends one sample line: name{labels} value. `labels` is the raw
-/// rendered label list without braces ("" for none).
+/// rendered label list without braces ("" for none); the value has nine
+/// significant digits (qdd::appendGeneral).
 void sample(std::string& out, const char* name, const std::string& labels,
             double value);
 

@@ -7,16 +7,13 @@
 // parallel on different pool workers, mirroring the one-package-per-worker
 // design of qdd::exec).
 //
-// Sharding: entries are distributed over a power-of-two number of shards
-// by session-id hash (FNV-1a). Shard selection is lock-free; each shard
-// has its own mutex, entry map, and retired mem::StatsRegistry, so
-// create/find/evict on different sessions rarely contend. Lock order
-// invariant: an entry mutex is never locked while a shard mutex is held,
-// so taking a shard mutex under an entry mutex cannot deadlock. Only the
+// One mutex guards the entry map and the retired statistics. Lock order
+// invariant: an entry mutex is never locked while the store mutex is held,
+// so taking the store mutex under an entry mutex cannot deadlock. Only the
 // restore path does that (it re-applies the resident budget while its
 // caller holds the restored entry), and it only try_locks the other
 // entries it spills. Stats folding collects under the entry lock,
-// releases it, then merges under the shard lock.
+// releases it, then merges under the store lock.
 //
 // Spill tier: when a spill directory is configured, cold sessions are
 // serialized (dd::Serialization text round-trip) to disk and their
@@ -30,8 +27,12 @@
 //
 // Admission and lifetime: a hard cap on concurrent sessions (create fails
 // once full -> the API answers 429) and TTL eviction of idle sessions in
-// least-recently-used order. Evicted/spilled packages fold their
-// statistics() into the cumulative per-shard registries surfaced by
+// least-recently-used order. The sweep that evicts and spills idle
+// sessions (evictExpired) runs on every create and, at most once per
+// tenth of the shorter of `ttlMs` and `spillAfterMs`, on find — so idle
+// sessions leave memory while other sessions are being served, and a
+// session idle past its TTL answers as absent. Evicted/spilled packages
+// fold their statistics() into the cumulative registry surfaced by
 // /metrics, so table/cache behavior is not lost with the session.
 
 #include "qdd/dd/Package.hpp"
@@ -61,11 +62,9 @@ struct SessionStoreOptions {
   std::size_t maxSessions = 16;
   /// <= 0 disables TTL eviction.
   std::int64_t ttlMs = 600000;
-  /// Rounded up to a power of two, clamped to [1, 256].
-  std::size_t shards = 8;
   /// Directory for spill files; empty disables the spill tier.
   std::string spillDir;
-  /// Sessions idle longer than this are spill candidates on the next
+  /// Sessions idle longer than this are spilled by the next
   /// evictExpired() pass. <= 0 disables idle-driven spilling (budget
   /// pressure via maxResident still spills).
   std::int64_t spillAfterMs = 0;
@@ -123,8 +122,6 @@ public:
   /// an existing, writable directory: every spill would fail and keep its
   /// session resident.
   explicit SessionStore(SessionStoreOptions options);
-  /// Legacy convenience: capacity + TTL, default sharding, no spill tier.
-  SessionStore(std::size_t maxSessions, std::int64_t ttlMs);
 
   /// Reserves a session slot and assigns an id ("s1", "s2", ...) WITHOUT
   /// making the entry visible to lookups. The caller constructs
@@ -134,7 +131,7 @@ public:
   /// after evicting expired sessions.
   std::shared_ptr<Entry> create(std::string kind);
 
-  /// Inserts a fully constructed entry from create() into its shard,
+  /// Inserts a fully constructed entry from create() into the map,
   /// making it visible to find()/list(), then enforces the spill budget.
   void publish(const std::shared_ptr<Entry>& entry);
 
@@ -142,9 +139,12 @@ public:
   /// entry was never visible; any partially built package folds its stats.
   void abandon(const std::shared_ptr<Entry>& entry);
 
-  /// Looks up a session and refreshes its LRU stamp; nullptr when absent.
-  /// The entry may be spilled — callers that need the live session must
-  /// lock the entry mutex and call ensureResident().
+  /// Looks up a session and refreshes its LRU stamp; nullptr when absent
+  /// or idle past the TTL (it is evicted then). Runs evictExpired() first
+  /// when the last pass is at least a sweep interval old, so, like
+  /// create(), it must not be called with an entry mutex held. The entry
+  /// may be spilled — callers that need the live session must lock the
+  /// entry mutex and call ensureResident().
   std::shared_ptr<Entry> find(const std::string& id);
 
   /// Restores `entry` from its spill file if (and only if) it is spilled,
@@ -161,8 +161,8 @@ public:
 
   /// Evicts every session idle longer than the TTL (LRU order), spills
   /// sessions idle past spillAfterMs, and enforces the resident budget.
-  /// Returns the number evicted. Called internally on create(), exposed
-  /// for tests.
+  /// Returns the number evicted. Called internally on create() and find(),
+  /// exposed for the session listing and tests.
   std::size_t evictExpired();
 
   /// Spills one session now (test hook / admin). False when the session
@@ -205,28 +205,13 @@ public:
     return spillBytesN.load(std::memory_order_relaxed);
   }
 
-  [[nodiscard]] std::size_t shardCount() const noexcept {
-    return shards.size();
-  }
-  /// Per-shard entry counts (for the per-shard occupancy gauges).
-  [[nodiscard]] std::vector<std::size_t> shardSizes() const;
-
   /// (id, kind, name) of all live sessions, sorted by id.
   [[nodiscard]] std::vector<std::shared_ptr<Entry>> list() const;
 
-  /// Cumulative statistics of all evicted/erased/spilled packages,
-  /// merged across shards.
+  /// Cumulative statistics of all evicted/erased/spilled packages.
   [[nodiscard]] mem::StatsRegistry retiredStats() const;
 
 private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::map<std::string, std::shared_ptr<Entry>> entries;
-    mem::StatsRegistry retired;
-  };
-
-  [[nodiscard]] Shard& shardOf(const std::string& id);
-  [[nodiscard]] const Shard& shardOf(const std::string& id) const;
   [[nodiscard]] static std::int64_t nowMs();
 
   void retire(const std::shared_ptr<Entry>& entry);
@@ -239,14 +224,16 @@ private:
   bool spillLocked(Entry& entry, mem::StatsRegistry& stats);
 
   const SessionStoreOptions options;
+  /// Minimum time between two evictExpired() passes started by find().
+  const std::int64_t sweepIntervalMs;
 
-  std::vector<std::unique_ptr<Shard>> shards;
+  mutable std::mutex mutex; ///< guards entries, retired and pendingN
+  std::map<std::string, std::shared_ptr<Entry>> entries;
+  mem::StatsRegistry retired;
+  std::size_t pendingN = 0; ///< slots reserved by create(), not published
 
-  std::mutex admissionMutex; ///< guards the capacity check + pendingN
-  std::size_t pendingN = 0;  ///< slots reserved by create(), not published
-
+  std::atomic<std::int64_t> lastSweepMs{0};
   std::atomic<std::size_t> nextId{1};
-  std::atomic<std::size_t> liveN{0}; ///< published entries across shards
   std::atomic<std::size_t> createdN{0};
   std::atomic<std::size_t> evictedN{0};
   std::atomic<std::size_t> residentN{0};

@@ -59,8 +59,9 @@ public:
   /// construction (the chooser and deterministic outcomes draw none).
   [[nodiscard]] std::uint64_t outcomeDraws() const noexcept { return draws; }
 
-  /// Current DD size and the peak over the whole session.
-  [[nodiscard]] std::size_t currentNodes() const;
+  /// Current DD size (counted when the state last changed, so reading it
+  /// walks nothing) and the peak over the whole session.
+  [[nodiscard]] std::size_t currentNodes() const noexcept { return nodes; }
   [[nodiscard]] std::size_t peakNodes() const noexcept { return peak; }
   /// DD size after each applied operation (for size-over-time plots).
   [[nodiscard]] const std::vector<std::size_t>& nodeHistory() const noexcept {
@@ -141,6 +142,7 @@ private:
   struct Snapshot {
     vEdge state;
     std::vector<bool> classicals;
+    std::size_t nodes = 0;
   };
 
   ir::QuantumComputation qc; ///< owned copy: sessions outlive caller scopes
@@ -148,6 +150,7 @@ private:
   bridge::ApplyMode mode = bridge::globalApplyMode();
   bridge::GateDDCache cache;
   vEdge current;
+  std::size_t nodes = 0; ///< Package::size(current)
   std::vector<bool> classicals;
   std::vector<Snapshot> snapshots; ///< one per applied operation
   std::size_t pos = 0;

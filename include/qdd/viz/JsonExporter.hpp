@@ -3,26 +3,8 @@
 #include "qdd/viz/Graph.hpp"
 
 #include <string>
-#include <string_view>
 
 namespace qdd::viz {
-
-/// Appends `s` escaped for embedding in a JSON string literal: quote,
-/// backslash, and all control characters (U+0000..U+001F as \uXXXX or the
-/// short forms \n \r \t \b \f). Shared by every JSON-emitting layer (the
-/// exporters here and the qdd::service wire format).
-void appendJsonEscaped(std::string& out, std::string_view s);
-/// appendJsonEscaped() into a fresh string.
-[[nodiscard]] std::string jsonEscape(const std::string& s);
-
-/// Appends a double as a JSON number with the given significant precision
-/// (the general format of qdd::appendGeneral). Non-finite values (NaN,
-/// +/-Inf) have no JSON representation and must never be emitted bare —
-/// they serialize as `null`, which every strict parser accepts and
-/// renderers can treat as "undefined".
-void appendJsonNumber(std::string& out, double v, int precision);
-/// appendJsonNumber() into a fresh string.
-[[nodiscard]] std::string jsonNumber(double v, int precision);
 
 /// Serializes a decision diagram as JSON — the data interchange format a
 /// web front-end (like the paper's tool) renders from. Every edge carries

@@ -49,7 +49,6 @@ REQUIRED_FAMILIES = [
     "qdd_service_session_restores_total",
     "qdd_service_session_restore_failures_total",
     "qdd_service_spill_bytes_total",
-    "qdd_service_shard_sessions",
 ]
 
 

@@ -1,8 +1,9 @@
 #include "qdd/mem/StatsRegistry.hpp"
 
+#include "qdd/common/Json.hpp"
+#include "qdd/common/NumberFormat.hpp"
+
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 namespace qdd::mem {
 
@@ -119,7 +120,9 @@ TablePressure StatsRegistry::pressure() const {
 namespace {
 
 /// Minimal structured JSON writer: tracks nesting and whether a separator is
-/// due, so emission code reads like the document it produces.
+/// due, so emission code reads like the document it produces. Numbers and
+/// strings go through the package's JSON appenders (doubles with nine
+/// significant digits, locale-independent).
 class JsonWriter {
 public:
   explicit JsonWriter(bool pretty) : pretty(pretty) {}
@@ -132,31 +135,22 @@ public:
   void field(const char* key, std::size_t value) {
     separator();
     emitKey(key);
-    out << value;
+    appendInteger(out, value);
   }
   void field(const char* key, double value) {
     separator();
     emitKey(key);
-    // Deterministic across platforms and locales: fixed %.9g formatting
-    // (ostream would honor the global locale and its precision settings),
-    // with any locale-specific decimal comma normalized to a dot so the
-    // output is always valid JSON.
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-    for (char* c = buf; *c != '\0'; ++c) {
-      if (*c == ',') {
-        *c = '.';
-      }
-    }
-    out << buf;
+    json::appendNumber(out, value, 9);
   }
   void field(const char* key, const std::string& value) {
     separator();
     emitKey(key);
-    out << '"' << value << '"';
+    out += '"';
+    json::appendEscaped(out, value);
+    out += '"';
   }
 
-  [[nodiscard]] std::string str() const { return out.str() + (pretty ? "\n" : ""); }
+  [[nodiscard]] std::string str() const { return out + (pretty ? "\n" : ""); }
 
 private:
   void open(const char* key, char brace) {
@@ -164,37 +158,37 @@ private:
     if (key != nullptr) {
       emitKey(key);
     }
-    out << brace;
+    out += brace;
     ++depth;
     pending = false;
   }
   void close(char brace) {
     --depth;
     if (pretty) {
-      out << '\n';
+      out += '\n';
       indent();
     }
-    out << brace;
+    out += brace;
     pending = true;
   }
   void separator() {
     if (pending) {
-      out << ',';
+      out += ',';
     }
     if (pretty && depth > 0) {
-      out << '\n';
+      out += '\n';
       indent();
     }
     pending = true;
   }
-  void emitKey(const char* key) { out << '"' << key << "\":" << (pretty ? " " : ""); }
-  void indent() {
-    for (int k = 0; k < depth; ++k) {
-      out << "  ";
-    }
+  void emitKey(const char* key) {
+    out += '"';
+    out += key;
+    out += pretty ? "\": " : "\":";
   }
+  void indent() { out.append(2 * static_cast<std::size_t>(depth), ' '); }
 
-  std::ostringstream out;
+  std::string out;
   bool pretty;
   bool pending = false;
   int depth = 0;

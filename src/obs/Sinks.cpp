@@ -1,5 +1,7 @@
 #include "qdd/obs/Sinks.hpp"
 
+#include "qdd/common/Json.hpp"
+
 #include <algorithm>
 #include <array>
 #include <cmath>
@@ -12,55 +14,16 @@ namespace qdd::obs {
 
 namespace {
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-    case '"':
-      out += "\\\"";
-      break;
-    case '\\':
-      out += "\\\\";
-      break;
-    case '\n':
-      out += "\\n";
-      break;
-    case '\t':
-      out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-        out += buf;
-      } else {
-        out += c;
-      }
-      break;
-    }
-  }
-  return out;
-}
-
-/// Fixed, locale-independent float formatting (same contract as the stats
-/// registry): %.9g via snprintf, with a decimal comma — should a caller have
-/// installed a locale that uses one — normalized back to a point.
+/// Trace and stats numbers: nine significant digits, null when not finite.
 std::string formatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  std::string s(buf);
-  for (char& c : s) {
-    if (c == ',') {
-      c = '.';
-    }
-  }
-  return s;
+  std::string out;
+  json::appendNumber(out, v, 9);
+  return out;
 }
 
 void appendArg(std::string& out, const Arg& a) {
   out += '"';
-  out += jsonEscape(a.key);
+  out += json::escape(a.key);
   out += "\":";
   switch (a.kind) {
   case Arg::Kind::UInt:
@@ -71,7 +34,7 @@ void appendArg(std::string& out, const Arg& a) {
     break;
   case Arg::Kind::Str:
     out += '"';
-    out += jsonEscape(a.s);
+    out += json::escape(a.s);
     out += '"';
     break;
   }
@@ -228,7 +191,7 @@ std::string ChromeTraceSink::toJson() const {
     out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
     out += std::to_string(tid);
     out += ",\"args\":{\"name\":\"";
-    out += jsonEscape(label);
+    out += json::escape(label);
     out += "\"}}";
   }
 
@@ -238,9 +201,9 @@ std::string ChromeTraceSink::toJson() const {
     }
     first = false;
     out += "{\"name\":\"";
-    out += jsonEscape(e->name);
+    out += json::escape(e->name);
     out += "\",\"cat\":\"";
-    out += jsonEscape(e->category);
+    out += json::escape(e->category);
     out += "\",\"ph\":\"";
     out += e->phase;
     out += "\",\"pid\":1,\"tid\":";
@@ -284,8 +247,8 @@ void ChromeTraceSink::writeFile(const std::string& path) const {
 // --- JsonlSink --------------------------------------------------------------
 
 void JsonlSink::onSpan(const SpanRecord& span) {
-  out << "{\"type\":\"span\",\"cat\":\"" << jsonEscape(span.category)
-      << "\",\"name\":\"" << jsonEscape(span.name)
+  out << "{\"type\":\"span\",\"cat\":\"" << json::escape(span.category)
+      << "\",\"name\":\"" << json::escape(span.name)
       << "\",\"ts\":" << formatDouble(span.startUs)
       << ",\"dur\":" << formatDouble(span.durUs) << ",\"depth\":" << span.depth
       << ",\"tid\":" << span.tid;
@@ -300,7 +263,7 @@ void JsonlSink::onSpan(const SpanRecord& span) {
 }
 
 void JsonlSink::onCounter(const CounterRecord& counter) {
-  out << "{\"type\":\"counter\",\"name\":\"" << jsonEscape(counter.name)
+  out << "{\"type\":\"counter\",\"name\":\"" << json::escape(counter.name)
       << "\",\"ts\":" << formatDouble(counter.tsUs)
       << ",\"value\":" << formatDouble(counter.value)
       << ",\"tid\":" << counter.tid;
@@ -448,7 +411,7 @@ std::string AggregatorSink::toJson() const {
     }
     first = false;
     out += '"';
-    out += jsonEscape(key);
+    out += json::escape(key);
     out += "\":{\"count\":" + std::to_string(s.count);
     out += ",\"totalUs\":" + formatDouble(s.totalUs);
     out += ",\"p50Us\":" + formatDouble(s.p50Us);

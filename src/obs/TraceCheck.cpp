@@ -1,257 +1,16 @@
 #include "qdd/obs/TraceCheck.hpp"
 
-#include <cctype>
+#include "qdd/common/Json.hpp"
+
 #include <map>
-#include <memory>
-#include <stdexcept>
 #include <vector>
 
 namespace qdd::obs {
 
 namespace {
 
-// Minimal strict JSON parser — just enough structure to validate traces
-// without pulling a JSON library into the repository.
-
-struct Value;
-using ValuePtr = std::unique_ptr<Value>;
-
-struct Value {
-  enum class Kind : std::uint8_t { Null, Bool, Number, String, Array, Object };
-  Kind kind = Kind::Null;
-  bool boolean = false;
-  double number = 0.;
-  std::string string;
-  std::vector<ValuePtr> array;
-  std::map<std::string, ValuePtr> object;
-
-  [[nodiscard]] const Value* member(const std::string& key) const {
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : it->second.get();
-  }
-};
-
-class Parser {
-public:
-  explicit Parser(const std::string& text) : text(text) {}
-
-  ValuePtr parse() {
-    ValuePtr v = parseValue();
-    skipWhitespace();
-    if (pos != text.size()) {
-      fail("trailing characters after top-level value");
-    }
-    return v;
-  }
-
-private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw std::runtime_error("JSON error at offset " + std::to_string(pos) +
-                             ": " + message);
-  }
-
-  void skipWhitespace() {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' ||
-                                 text[pos] == '\n' || text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  char peek() {
-    if (pos >= text.size()) {
-      fail("unexpected end of input");
-    }
-    return text[pos];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos;
-  }
-
-  bool consume(const std::string& word) {
-    if (text.compare(pos, word.size(), word) == 0) {
-      pos += word.size();
-      return true;
-    }
-    return false;
-  }
-
-  ValuePtr parseValue() {
-    skipWhitespace();
-    const char c = peek();
-    switch (c) {
-    case '{':
-      return parseObject();
-    case '[':
-      return parseArray();
-    case '"':
-      return parseString();
-    case 't':
-    case 'f':
-      return parseBool();
-    case 'n':
-      if (!consume("null")) {
-        fail("invalid literal");
-      }
-      return std::make_unique<Value>();
-    default:
-      return parseNumber();
-    }
-  }
-
-  ValuePtr parseObject() {
-    auto v = std::make_unique<Value>();
-    v->kind = Value::Kind::Object;
-    expect('{');
-    skipWhitespace();
-    if (peek() == '}') {
-      ++pos;
-      return v;
-    }
-    while (true) {
-      skipWhitespace();
-      ValuePtr key = parseString();
-      skipWhitespace();
-      expect(':');
-      v->object[key->string] = parseValue();
-      skipWhitespace();
-      if (peek() == ',') {
-        ++pos;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  ValuePtr parseArray() {
-    auto v = std::make_unique<Value>();
-    v->kind = Value::Kind::Array;
-    expect('[');
-    skipWhitespace();
-    if (peek() == ']') {
-      ++pos;
-      return v;
-    }
-    while (true) {
-      v->array.push_back(parseValue());
-      skipWhitespace();
-      if (peek() == ',') {
-        ++pos;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  ValuePtr parseString() {
-    auto v = std::make_unique<Value>();
-    v->kind = Value::Kind::String;
-    expect('"');
-    while (true) {
-      if (pos >= text.size()) {
-        fail("unterminated string");
-      }
-      const char c = text[pos++];
-      if (c == '"') {
-        return v;
-      }
-      if (c == '\\') {
-        if (pos >= text.size()) {
-          fail("unterminated escape");
-        }
-        const char esc = text[pos++];
-        switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          v->string += esc;
-          break;
-        case 'n':
-          v->string += '\n';
-          break;
-        case 't':
-          v->string += '\t';
-          break;
-        case 'r':
-          v->string += '\r';
-          break;
-        case 'b':
-        case 'f':
-          break;
-        case 'u': {
-          if (pos + 4 > text.size()) {
-            fail("truncated \\u escape");
-          }
-          for (int k = 0; k < 4; ++k) {
-            if (std::isxdigit(static_cast<unsigned char>(text[pos + static_cast<std::size_t>(k)])) == 0) {
-              fail("invalid \\u escape");
-            }
-          }
-          pos += 4;
-          v->string += '?'; // code point not needed for validation
-          break;
-        }
-        default:
-          fail("invalid escape");
-        }
-      } else {
-        v->string += c;
-      }
-    }
-  }
-
-  ValuePtr parseBool() {
-    auto v = std::make_unique<Value>();
-    v->kind = Value::Kind::Bool;
-    if (consume("true")) {
-      v->boolean = true;
-    } else if (consume("false")) {
-      v->boolean = false;
-    } else {
-      fail("invalid literal");
-    }
-    return v;
-  }
-
-  ValuePtr parseNumber() {
-    const std::size_t start = pos;
-    if (peek() == '-') {
-      ++pos;
-    }
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) != 0 ||
-            text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-            text[pos] == '+' || text[pos] == '-')) {
-      ++pos;
-    }
-    if (pos == start || (pos == start + 1 && text[start] == '-')) {
-      fail("invalid number");
-    }
-    auto v = std::make_unique<Value>();
-    v->kind = Value::Kind::Number;
-    try {
-      v->number = std::stod(text.substr(start, pos - start));
-    } catch (const std::exception&) {
-      fail("unparsable number");
-    }
-    return v;
-  }
-
-  const std::string& text;
-  std::size_t pos = 0;
-};
-
-bool isNumber(const Value* v) {
-  return v != nullptr && v->kind == Value::Kind::Number;
-}
-bool isString(const Value* v) {
-  return v != nullptr && v->kind == Value::Kind::String;
-}
+bool isNumber(const json::Value* v) { return v != nullptr && v->isNumber(); }
+bool isString(const json::Value* v) { return v != nullptr && v->isString(); }
 
 TraceCheckResult failure(std::string error) {
   TraceCheckResult r;
@@ -259,27 +18,21 @@ TraceCheckResult failure(std::string error) {
   return r;
 }
 
-} // namespace
-
-TraceCheckResult validateChromeTrace(const std::string& json,
-                                     bool requireStepMetrics) {
-  ValuePtr root;
-  try {
-    root = Parser(json).parse();
-  } catch (const std::exception& e) {
-    return failure(e.what());
-  }
-  if (root->kind != Value::Kind::Object) {
+/// The checks of validateChromeTrace() on a parsed document.
+TraceCheckResult checkChromeTrace(const json::Value& root,
+                                  bool requireStepMetrics) {
+  if (!root.isObject()) {
     return failure("top-level value is not an object");
   }
-  const Value* eventsVal = root->member("traceEvents");
-  if (eventsVal == nullptr || eventsVal->kind != Value::Kind::Array) {
+  const json::Value* eventsVal = root.find("traceEvents");
+  if (eventsVal == nullptr || !eventsVal->isArray()) {
     return failure("missing \"traceEvents\" array");
   }
+  const std::vector<json::Value>& events = eventsVal->asArray();
 
   TraceCheckResult result;
-  result.hasStats = root->member("qddStats") != nullptr &&
-                    root->member("qddStats")->kind == Value::Kind::Object;
+  const json::Value* stats = root.find("qddStats");
+  result.hasStats = stats != nullptr && stats->isObject();
 
   double lastTs = -1.;
   // Open "X" spans as (start, end) intervals, tracked per thread id: spans
@@ -289,19 +42,20 @@ TraceCheckResult validateChromeTrace(const std::string& json,
   std::map<double, std::vector<std::pair<double, double>>> openSpansPerTid;
   bool sawStepMetrics = false;
 
-  for (std::size_t i = 0; i < eventsVal->array.size(); ++i) {
-    const Value& ev = *eventsVal->array[i];
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const json::Value& ev = events[i];
     const std::string at = "event " + std::to_string(i);
-    if (ev.kind != Value::Kind::Object) {
+    if (!ev.isObject()) {
       return failure(at + ": not an object");
     }
-    const Value* name = ev.member("name");
-    const Value* phase = ev.member("ph");
-    const Value* ts = ev.member("ts");
+    const json::Value* name = ev.find("name");
+    const json::Value* phase = ev.find("ph");
+    const json::Value* ts = ev.find("ts");
     if (!isString(name) || !isString(phase)) {
       return failure(at + ": missing name/ph");
     }
-    if (phase->string == "M") {
+    const std::string& ph = phase->asString();
+    if (ph == "M") {
       // Metadata events (thread_name, process_name, ...) carry no timestamp.
       ++result.events;
       ++result.metadata;
@@ -310,21 +64,20 @@ TraceCheckResult validateChromeTrace(const std::string& json,
     if (!isNumber(ts)) {
       return failure(at + ": missing name/ph/ts");
     }
-    if (ts->number < lastTs) {
+    if (ts->asNumber() < lastTs) {
       return failure(at + ": ts not monotonically non-decreasing");
     }
-    lastTs = ts->number;
+    lastTs = ts->asNumber();
     ++result.events;
-    const Value* tid = ev.member("tid");
-    const double track = isNumber(tid) ? tid->number : 0.;
+    const double track = ev.getNumber("tid", 0.);
 
-    if (phase->string == "X") {
-      const Value* dur = ev.member("dur");
-      if (!isNumber(dur) || dur->number < 0.) {
+    if (ph == "X") {
+      const json::Value* dur = ev.find("dur");
+      if (!isNumber(dur) || dur->asNumber() < 0.) {
         return failure(at + ": \"X\" event without non-negative dur");
       }
-      const double start = ts->number;
-      const double end = start + dur->number;
+      const double start = ts->asNumber();
+      const double end = start + dur->asNumber();
       auto& openSpans = openSpansPerTid[track];
       while (!openSpans.empty() && openSpans.back().second <= start) {
         openSpans.pop_back();
@@ -334,16 +87,15 @@ TraceCheckResult validateChromeTrace(const std::string& json,
       }
       openSpans.emplace_back(start, end);
       ++result.spans;
-    } else if (phase->string == "C") {
+    } else if (ph == "C") {
       ++result.counters;
-    } else if (phase->string == "i" && name->string == "sim.step") {
+    } else if (ph == "i" && name->asString() == "sim.step") {
       ++result.stepInstants;
-      const Value* args = ev.member("args");
-      if (args != nullptr && args->kind == Value::Kind::Object &&
-          isNumber(args->member("nodes")) &&
-          isNumber(args->member("cacheHitRatioDelta")) &&
-          isNumber(args->member("gcRuns")) &&
-          isString(args->member("nodesPerLevel"))) {
+      const json::Value* args = ev.find("args");
+      if (args != nullptr && isNumber(args->find("nodes")) &&
+          isNumber(args->find("cacheHitRatioDelta")) &&
+          isNumber(args->find("gcRuns")) &&
+          isString(args->find("nodesPerLevel"))) {
         sawStepMetrics = true;
       }
     }
@@ -360,20 +112,33 @@ TraceCheckResult validateChromeTrace(const std::string& json,
   return result;
 }
 
-TraceCheckResult validateIncidentTrace(const std::string& json) {
-  TraceCheckResult result = validateChromeTrace(json);
+} // namespace
+
+TraceCheckResult validateChromeTrace(const std::string& text,
+                                     bool requireStepMetrics) {
+  try {
+    return checkChromeTrace(json::Value::parse(text), requireStepMetrics);
+  } catch (const json::ParseError& e) {
+    return failure(e.what());
+  }
+}
+
+TraceCheckResult validateIncidentTrace(const std::string& text) {
+  json::Value root;
+  try {
+    root = json::Value::parse(text);
+  } catch (const json::ParseError& e) {
+    return failure(e.what());
+  }
+  TraceCheckResult result = checkChromeTrace(root, false);
   if (!result.valid) {
     return result;
   }
-  // The chrome validation parsed successfully, so this re-parse cannot
-  // throw; incident dumps are small (ring-bounded), so parsing twice is
-  // cheaper than threading incident rules through the main walk.
-  const ValuePtr root = Parser(json).parse();
-  const Value* traceId = root->member("traceId");
+  const json::Value* traceId = root.find("traceId");
   if (!isString(traceId)) {
     return failure("incident dump missing top-level \"traceId\"");
   }
-  const std::string& id = traceId->string;
+  const std::string& id = traceId->asString();
   if (id.size() != 32) {
     return failure("\"traceId\" is not 32 hex digits: \"" + id + "\"");
   }
@@ -388,26 +153,23 @@ TraceCheckResult validateIncidentTrace(const std::string& json) {
   if (!nonzero) {
     return failure("\"traceId\" is all-zero");
   }
-  const Value* events = root->member("traceEvents");
-  for (std::size_t i = 0; i < events->array.size(); ++i) {
-    const Value& ev = *events->array[i];
-    const Value* phase = ev.member("ph");
-    if (!isString(phase) || phase->string != "X") {
+  const std::vector<json::Value>& events = root.find("traceEvents")->asArray();
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const json::Value& ev = events[i];
+    if (ev.getString("ph", "") != "X") {
       continue;
     }
-    const Value* args = ev.member("args");
-    const Value* spanTrace =
-        args != nullptr && args->kind == Value::Kind::Object
-            ? args->member("trace_id")
-            : nullptr;
+    const json::Value* args = ev.find("args");
+    const json::Value* spanTrace =
+        args != nullptr ? args->find("trace_id") : nullptr;
     if (!isString(spanTrace)) {
       return failure("event " + std::to_string(i) +
                      ": span without args.trace_id");
     }
-    if (spanTrace->string != id) {
+    if (spanTrace->asString() != id) {
       return failure("event " + std::to_string(i) + ": trace_id \"" +
-                     spanTrace->string + "\" differs from incident \"" + id +
-                     "\"");
+                     spanTrace->asString() + "\" differs from incident \"" +
+                     id + "\"");
     }
   }
   return result;

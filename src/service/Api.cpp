@@ -90,7 +90,6 @@ SessionStoreOptions storeOptions(const ApiOptions& options) {
   SessionStoreOptions opts;
   opts.maxSessions = options.maxSessions;
   opts.ttlMs = options.sessionTtlMs;
-  opts.shards = options.sessionShards;
   opts.spillDir = options.spillDir;
   opts.spillAfterMs = options.spillAfterMs;
   opts.maxResident = options.maxResidentSessions;
@@ -737,7 +736,6 @@ HttpResponse Api::metricsDoc(const HttpRequest& request) {
   sess.set("created", num(store.created()));
   sess.set("evicted", num(store.evicted()));
   sess.set("deadlinesArmed", num(timer.armedCount()));
-  sess.set("shards", num(store.shardCount()));
   sess.set("resident", num(store.residentCount()));
   sess.set("spilled", num(store.spilledCount()));
   sess.set("spilledTotal", num(store.spilledTotal()));
@@ -751,10 +749,10 @@ HttpResponse Api::metricsDoc(const HttpRequest& request) {
   inc.set("retained", num(incidentLog.retained()));
   doc.set("incidents", std::move(inc));
 
-  doc.set("dd", json::Value::parse(ddStats().toJson(/*pretty=*/false)));
-
+  // both writers emit valid JSON already: embed their text as is
+  doc.set("dd", json::Value::raw(ddStats().toJson(/*pretty=*/false)));
   if (aggregator) {
-    doc.set("obs", json::Value::parse(aggregator->toJson()));
+    doc.set("obs", json::Value::raw(aggregator->toJson()));
   }
   return ok(doc);
 }
@@ -809,18 +807,6 @@ std::string Api::prometheusDoc() const {
                "Bytes written to spill files since start.");
   prom::sample(out, "qdd_service_spill_bytes_total", "",
                static_cast<double>(store.spillBytesTotal()));
-
-  // --- per-shard occupancy ---
-  prom::family(out, "qdd_service_shard_sessions", "gauge",
-               "Sessions stored per SessionStore shard.");
-  {
-    const std::vector<std::size_t> sizes = store.shardSizes();
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-      prom::sample(out, "qdd_service_shard_sessions",
-                   "shard=\"" + std::to_string(i) + "\"",
-                   static_cast<double>(sizes[i]));
-    }
-  }
 
   // --- per-session DD size (idle sessions only; busy ones are skipped) ---
   prom::family(out, "qdd_session_nodes", "gauge",

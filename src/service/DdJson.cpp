@@ -1,8 +1,8 @@
 #include "qdd/service/DdJson.hpp"
 
+#include "qdd/common/Json.hpp"
 #include "qdd/common/NumberFormat.hpp"
 #include "qdd/viz/Color.hpp"
-#include "qdd/viz/JsonExporter.hpp"
 
 namespace qdd::service {
 
@@ -14,15 +14,15 @@ void writeWeight(std::string& out, const ComplexValue& w) {
   out += "{\"color\": \"";
   viz::phaseToColor(phase).appendHex(out);
   out += "\", \"im\": ";
-  viz::appendJsonNumber(out, w.im, 10);
+  json::appendNumber(out, w.im, 10);
   out += ", \"mag\": ";
-  viz::appendJsonNumber(out, mag, 10);
+  json::appendNumber(out, mag, 10);
   out += ", \"phase\": ";
-  viz::appendJsonNumber(out, phase, 10);
+  json::appendNumber(out, phase, 10);
   out += ", \"re\": ";
-  viz::appendJsonNumber(out, w.re, 10);
+  json::appendNumber(out, w.re, 10);
   out += ", \"thickness\": ";
-  viz::appendJsonNumber(out, viz::magnitudeToThickness(mag), 3);
+  json::appendNumber(out, viz::magnitudeToThickness(mag), 3);
   out += '}';
 }
 

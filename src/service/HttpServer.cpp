@@ -1,5 +1,6 @@
 #include "qdd/service/HttpServer.hpp"
 
+#include "qdd/common/Json.hpp"
 #include "qdd/obs/FlightRecorder.hpp"
 #include "qdd/obs/Obs.hpp"
 #include "qdd/service/Incidents.hpp"
@@ -215,21 +216,6 @@ void HttpServer::logAccess(const obs::TraceContext& ctx,
                            const HttpRequest& request,
                            const std::string& routeKey, int status, double ms,
                            std::size_t bytesOut) {
-  const auto escape = [](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        out += ' ';
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  };
   const double wallMs =
       std::chrono::duration<double, std::milli>(
           std::chrono::system_clock::now().time_since_epoch())
@@ -240,12 +226,12 @@ void HttpServer::logAccess(const obs::TraceContext& ctx,
   if (ctx.valid()) {
     line += ",\"traceId\":\"" + ctx.traceIdHex() + "\"";
   }
-  line += ",\"method\":\"" + escape(request.method) + "\"";
-  line += ",\"route\":\"" + escape(routeKey) + "\"";
+  line += ",\"method\":\"" + json::escape(request.method) + "\"";
+  line += ",\"route\":\"" + json::escape(routeKey) + "\"";
   line += ",\"status\":" + std::to_string(status);
   line += ",\"latencyMs\":" + std::to_string(ms);
   if (!ann.sessionId.empty()) {
-    line += ",\"session\":\"" + escape(ann.sessionId) + "\"";
+    line += ",\"session\":\"" + json::escape(ann.sessionId) + "\"";
   }
   if (ann.hasNodeDelta) {
     line += ",\"ddNodeDelta\":" + std::to_string(ann.ddNodeDelta);

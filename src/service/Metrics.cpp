@@ -1,7 +1,8 @@
 #include "qdd/service/Metrics.hpp"
 
+#include "qdd/common/NumberFormat.hpp"
+
 #include <algorithm>
-#include <cstdio>
 
 namespace qdd::service {
 
@@ -29,18 +30,6 @@ std::string escapeLabel(const std::string& value) {
   return out;
 }
 
-std::string number(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  std::string s(buf);
-  for (char& c : s) {
-    if (c == ',') {
-      c = '.';
-    }
-  }
-  return s;
-}
-
 void family(std::string& out, const char* name, const char* type,
             const char* help) {
   out += "# HELP ";
@@ -63,7 +52,7 @@ void sample(std::string& out, const char* name, const std::string& labels,
     out += '}';
   }
   out += ' ';
-  out += number(value);
+  appendGeneral(out, value, 9);
   out += '\n';
 }
 
@@ -199,11 +188,11 @@ std::string ServiceMetrics::prometheus() const {
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < LatencyHistogram::BUCKETS; ++i) {
     cum += allRoutes.bucketCounts()[i];
-    prom::sample(
-        out, "qdd_http_request_duration_seconds_bucket",
-        "le=\"" + prom::number(LatencyHistogram::upperBoundMs(i) / 1000.) +
-            "\"",
-        static_cast<double>(cum));
+    std::string le = "le=\"";
+    appendGeneral(le, LatencyHistogram::upperBoundMs(i) / 1000., 9);
+    le += '"';
+    prom::sample(out, "qdd_http_request_duration_seconds_bucket", le,
+                 static_cast<double>(cum));
   }
   prom::sample(out, "qdd_http_request_duration_seconds_bucket", "le=\"+Inf\"",
                static_cast<double>(allRoutes.count()));

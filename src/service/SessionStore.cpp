@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,29 +17,25 @@ namespace qdd::service {
 
 namespace {
 
-std::size_t roundUpPow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) {
-    p <<= 1U;
+/// A tenth of the shorter of the TTL and the idle-spill delay: find()
+/// sweeps at most that often, so an idle session is evicted or spilled at
+/// most a tenth late. Never when neither is set.
+std::int64_t sweepInterval(const SessionStoreOptions& o) {
+  std::int64_t shortest = std::numeric_limits<std::int64_t>::max();
+  if (o.ttlMs > 0) {
+    shortest = o.ttlMs;
   }
-  return p;
-}
-
-/// FNV-1a — cheap, well-distributed for short "s<n>" ids, and dependency-
-/// free (std::hash<std::string> is not guaranteed stable across libstdc++
-/// versions, and shard assignment shows up in metrics).
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
+  if (!o.spillDir.empty() && o.spillAfterMs > 0) {
+    shortest = std::min(shortest, o.spillAfterMs);
   }
-  return h;
+  return shortest == std::numeric_limits<std::int64_t>::max() ? shortest
+                                                              : shortest / 10;
 }
 
 } // namespace
 
-SessionStore::SessionStore(SessionStoreOptions opts) : options(std::move(opts)) {
+SessionStore::SessionStore(SessionStoreOptions opts)
+    : options(std::move(opts)), sweepIntervalMs(sweepInterval(options)) {
   if (spillEnabled()) {
     std::error_code ec;
     if (!std::filesystem::is_directory(options.spillDir, ec)) {
@@ -50,29 +47,6 @@ SessionStore::SessionStore(SessionStoreOptions opts) : options(std::move(opts)) 
                                   "' is not writable");
     }
   }
-  const std::size_t n =
-      std::min<std::size_t>(roundUpPow2(std::max<std::size_t>(1, options.shards)),
-                            256);
-  shards.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards.push_back(std::make_unique<Shard>());
-  }
-}
-
-SessionStore::SessionStore(std::size_t maxSessions, std::int64_t ttlMs)
-    : SessionStore([&] {
-        SessionStoreOptions opts;
-        opts.maxSessions = maxSessions;
-        opts.ttlMs = ttlMs;
-        return opts;
-      }()) {}
-
-SessionStore::Shard& SessionStore::shardOf(const std::string& id) {
-  return *shards[fnv1a(id) & (shards.size() - 1)];
-}
-
-const SessionStore::Shard& SessionStore::shardOf(const std::string& id) const {
-  return *shards[fnv1a(id) & (shards.size() - 1)];
 }
 
 std::int64_t SessionStore::nowMs() {
@@ -84,9 +58,8 @@ std::int64_t SessionStore::nowMs() {
 std::shared_ptr<SessionStore::Entry> SessionStore::create(std::string kind) {
   evictExpired();
   {
-    const std::lock_guard<std::mutex> lock(admissionMutex);
-    if (liveN.load(std::memory_order_relaxed) + pendingN >=
-        options.maxSessions) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (entries.size() + pendingN >= options.maxSessions) {
       return nullptr;
     }
     ++pendingN;
@@ -100,15 +73,10 @@ std::shared_ptr<SessionStore::Entry> SessionStore::create(std::string kind) {
 
 void SessionStore::publish(const std::shared_ptr<Entry>& entry) {
   {
-    Shard& shard = shardOf(entry->id);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries[entry->id] = entry;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(admissionMutex);
+    const std::lock_guard<std::mutex> lock(mutex);
+    entries[entry->id] = entry;
     --pendingN;
   }
-  liveN.fetch_add(1, std::memory_order_relaxed);
   createdN.fetch_add(1, std::memory_order_relaxed);
   residentN.fetch_add(1, std::memory_order_relaxed);
   enforceBudget();
@@ -119,98 +87,93 @@ void SessionStore::abandon(const std::shared_ptr<Entry>& entry) {
   if (entry->package) {
     stats = entry->package->statistics();
   }
-  {
-    const std::lock_guard<std::mutex> lock(admissionMutex);
-    --pendingN;
-  }
-  Shard& shard = shardOf(entry->id);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.retired.merge(stats);
+  const std::lock_guard<std::mutex> lock(mutex);
+  --pendingN;
+  retired.merge(stats);
 }
 
 std::shared_ptr<SessionStore::Entry>
 SessionStore::find(const std::string& id) {
-  Shard& shard = shardOf(id);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.entries.find(id);
-  if (it == shard.entries.end()) {
-    return nullptr;
+  const std::int64_t now = nowMs();
+  std::int64_t last = lastSweepMs.load(std::memory_order_relaxed);
+  if (now - last >= sweepIntervalMs &&
+      lastSweepMs.compare_exchange_strong(last, now,
+                                          std::memory_order_relaxed)) {
+    evictExpired();
   }
-  it->second->lastUsedMs.store(nowMs(), std::memory_order_relaxed);
-  return it->second;
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    const auto it = entries.find(id);
+    if (it == entries.end()) {
+      return nullptr;
+    }
+    Entry& entry = *it->second;
+    if (options.ttlMs <= 0 ||
+        now - entry.lastUsedMs.load(std::memory_order_relaxed) <=
+            options.ttlMs) {
+      entry.lastUsedMs.store(now, std::memory_order_relaxed);
+      return it->second;
+    }
+  }
+  erase(id); // idle past its TTL since the last sweep
+  return nullptr;
 }
 
 bool SessionStore::erase(const std::string& id) {
   std::shared_ptr<Entry> removed;
   {
-    Shard& shard = shardOf(id);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.entries.find(id);
-    if (it == shard.entries.end()) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    const auto it = entries.find(id);
+    if (it == entries.end()) {
       return false;
     }
     removed = it->second;
-    shard.entries.erase(it);
+    entries.erase(it);
   }
-  liveN.fetch_sub(1, std::memory_order_relaxed);
   evictedN.fetch_add(1, std::memory_order_relaxed);
   retire(removed);
   return true;
 }
 
 std::size_t SessionStore::evictExpired() {
-  std::size_t evictedHere = 0;
-  if (options.ttlMs > 0) {
-    const std::int64_t now = nowMs();
-    std::vector<std::shared_ptr<Entry>> expired;
-    for (const auto& shard : shards) {
-      const std::lock_guard<std::mutex> lock(shard->mutex);
-      for (auto it = shard->entries.begin(); it != shard->entries.end();) {
-        const std::int64_t idle =
-            now - it->second->lastUsedMs.load(std::memory_order_relaxed);
-        if (idle > options.ttlMs) {
-          expired.push_back(it->second);
-          it = shard->entries.erase(it);
-        } else {
-          ++it;
-        }
+  const std::int64_t now = nowMs();
+  lastSweepMs.store(now, std::memory_order_relaxed);
+  std::vector<std::shared_ptr<Entry>> expired;
+  std::vector<std::shared_ptr<Entry>> cold;
+  const bool idleSpill = spillEnabled() && options.spillAfterMs > 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    for (auto it = entries.begin(); it != entries.end();) {
+      const std::int64_t idle =
+          now - it->second->lastUsedMs.load(std::memory_order_relaxed);
+      if (options.ttlMs > 0 && idle > options.ttlMs) {
+        expired.push_back(it->second);
+        it = entries.erase(it);
+        continue;
       }
-    }
-    liveN.fetch_sub(expired.size(), std::memory_order_relaxed);
-    evictedN.fetch_add(expired.size(), std::memory_order_relaxed);
-    evictedHere = expired.size();
-    // oldest first, for a deterministic retirement order
-    std::sort(expired.begin(), expired.end(),
-              [](const auto& a, const auto& b) {
-                return a->lastUsedMs.load(std::memory_order_relaxed) <
-                       b->lastUsedMs.load(std::memory_order_relaxed);
-              });
-    for (const auto& entry : expired) {
-      retire(entry);
+      // idle-driven spilling: cold-but-not-yet-expired sessions go to disk
+      if (idleSpill && idle > options.spillAfterMs &&
+          !it->second->spilled.load(std::memory_order_relaxed)) {
+        cold.push_back(it->second);
+      }
+      ++it;
     }
   }
-
-  // idle-driven spilling: cold-but-not-yet-expired sessions go to disk
-  if (spillEnabled() && options.spillAfterMs > 0) {
-    const std::int64_t now = nowMs();
-    std::vector<std::shared_ptr<Entry>> cold;
-    for (const auto& shard : shards) {
-      const std::lock_guard<std::mutex> lock(shard->mutex);
-      for (const auto& [id, entry] : shard->entries) {
-        if (!entry->spilled.load(std::memory_order_relaxed) &&
-            now - entry->lastUsedMs.load(std::memory_order_relaxed) >
-                options.spillAfterMs) {
-          cold.push_back(entry);
-        }
-      }
-    }
-    for (const auto& entry : cold) {
-      trySpill(entry);
-    }
+  evictedN.fetch_add(expired.size(), std::memory_order_relaxed);
+  // oldest first, for a deterministic retirement order
+  std::sort(expired.begin(), expired.end(), [](const auto& a, const auto& b) {
+    return a->lastUsedMs.load(std::memory_order_relaxed) <
+           b->lastUsedMs.load(std::memory_order_relaxed);
+  });
+  for (const auto& entry : expired) {
+    retire(entry);
+  }
+  for (const auto& entry : cold) {
+    trySpill(entry);
   }
 
   enforceBudget();
-  return evictedHere;
+  return expired.size();
 }
 
 std::size_t SessionStore::enforceBudget() {
@@ -226,9 +189,9 @@ std::size_t SessionStore::enforceBudgetExcept(const Entry* keep) {
   }
   // snapshot resident entries, coldest first
   std::vector<std::shared_ptr<Entry>> resident;
-  for (const auto& shard : shards) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [id, entry] : shard->entries) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    for (const auto& [id, entry] : entries) {
       if (!entry->spilled.load(std::memory_order_relaxed) &&
           entry.get() != keep) {
         resident.push_back(entry);
@@ -276,9 +239,8 @@ bool SessionStore::trySpill(const std::shared_ptr<Entry>& entry) {
     didSpill = spillLocked(*entry, stats);
   }
   if (didSpill) {
-    Shard& shard = shardOf(entry->id);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.retired.merge(stats);
+    const std::lock_guard<std::mutex> lock(mutex);
+    retired.merge(stats);
   }
   return didSpill;
 }
@@ -424,13 +386,13 @@ void SessionStore::retire(const std::shared_ptr<Entry>& entry) {
   if (wasResident) {
     residentN.fetch_sub(1, std::memory_order_relaxed);
   }
-  Shard& shard = shardOf(entry->id);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.retired.merge(stats);
+  const std::lock_guard<std::mutex> lock(mutex);
+  retired.merge(stats);
 }
 
 std::size_t SessionStore::size() const {
-  return liveN.load(std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mutex);
+  return entries.size();
 }
 
 std::size_t SessionStore::created() const {
@@ -441,37 +403,20 @@ std::size_t SessionStore::evicted() const {
   return evictedN.load(std::memory_order_relaxed);
 }
 
-std::vector<std::size_t> SessionStore::shardSizes() const {
-  std::vector<std::size_t> sizes;
-  sizes.reserve(shards.size());
-  for (const auto& shard : shards) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    sizes.push_back(shard->entries.size());
-  }
-  return sizes;
-}
-
 std::vector<std::shared_ptr<SessionStore::Entry>> SessionStore::list() const {
+  // std::map order is id order
+  const std::lock_guard<std::mutex> lock(mutex);
   std::vector<std::shared_ptr<Entry>> out;
-  for (const auto& shard : shards) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [id, entry] : shard->entries) {
-      out.push_back(entry);
-    }
+  out.reserve(entries.size());
+  for (const auto& [id, entry] : entries) {
+    out.push_back(entry);
   }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a->id < b->id;
-  });
   return out;
 }
 
 mem::StatsRegistry SessionStore::retiredStats() const {
-  mem::StatsRegistry merged;
-  for (const auto& shard : shards) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    merged.merge(shard->retired);
-  }
-  return merged;
+  const std::lock_guard<std::mutex> lock(mutex);
+  return retired;
 }
 
 } // namespace qdd::service

@@ -18,7 +18,8 @@ SimulationSession::SimulationSession(const ir::QuantumComputation& circuit,
   current = pkg.makeZeroState(qc.numQubits());
   pkg.incRef(current);
   classicals.assign(qc.numClbits(), false);
-  peak = Package::size(current);
+  nodes = Package::size(current);
+  peak = nodes;
 }
 
 SimulationSession::~SimulationSession() {
@@ -30,10 +31,6 @@ SimulationSession::~SimulationSession() {
 
 const ir::Operation* SimulationSession::nextOperation() const {
   return atEnd() ? nullptr : &qc.at(pos);
-}
-
-std::size_t SimulationSession::currentNodes() const {
-  return Package::size(current);
 }
 
 bool SimulationSession::isSpecial(const ir::Operation& op) {
@@ -49,7 +46,7 @@ bool SimulationSession::isSpecial(const ir::Operation& op) {
 
 void SimulationSession::pushSnapshot() {
   pkg.incRef(current);
-  snapshots.push_back({current, classicals});
+  snapshots.push_back({current, classicals, nodes});
 }
 
 int SimulationSession::chooseOutcome(Qubit q, double p1) {
@@ -131,9 +128,8 @@ bool SimulationSession::stepForward() {
   ++pos;
   StepProfile profile;
   profile.nodesPerLevel = Package::sizeByLevel(current);
-  const std::size_t nodes =
-      std::accumulate(profile.nodesPerLevel.begin(),
-                      profile.nodesPerLevel.end(), std::size_t{0});
+  nodes = std::accumulate(profile.nodesPerLevel.begin(),
+                          profile.nodesPerLevel.end(), std::size_t{0});
   peak = std::max(peak, nodes);
   history.push_back(nodes);
   pkg.garbageCollect();
@@ -185,6 +181,7 @@ bool SimulationSession::stepBackward() {
   snapshots.pop_back();
   pkg.decRef(current);
   current = snap.state; // snapshot already holds a reference
+  nodes = snap.nodes;
   classicals = std::move(snap.classicals);
   --pos;
   if (!history.empty()) {
@@ -228,6 +225,7 @@ std::size_t SimulationSession::runToStart() {
     pkg.incRef(zero);
     pkg.decRef(current);
     current = zero;
+    nodes = Package::size(current);
     classicals.assign(qc.numClbits(), false);
     steps += pos;
     pos = 0;
@@ -262,7 +260,8 @@ void SimulationSession::restoreTo(const vEdge& state, std::size_t position,
   classicals = std::move(classicalBits);
   classicals.resize(qc.numClbits(), false);
   pos = position;
-  peak = std::max(peakNodes, Package::size(current));
+  nodes = Package::size(current);
+  peak = std::max(peakNodes, nodes);
   history.clear();
   pressures.clear();
   profiles.clear();

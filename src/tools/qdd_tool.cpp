@@ -639,8 +639,6 @@ int runServe(int argc, char** argv, int first) {
     } else if (flag == "--spill-budget") {
       apiOpts.maxResidentSessions =
           static_cast<std::size_t>(intArg("--spill-budget"));
-    } else if (flag == "--shards") {
-      apiOpts.sessionShards = static_cast<std::size_t>(intArg("--shards"));
     } else {
       std::fprintf(stderr, "serve: unknown flag '%s'\n", flag.c_str());
       return 2;
@@ -770,7 +768,7 @@ int main(int argc, char** argv) {
                  "--net epoll|poll\n"
                  "            --idle-timeout MS --spill-dir DIR "
                  "--spill-after MS\n"
-                 "            --spill-budget N --shards N]\n"
+                 "            --spill-budget N]\n"
                  "global flags: --stats (dump stats JSON), --out <file>\n"
                  "  (--out routes machine-readable JSON to <file>; without it,\n"
                  "   JSON goes to stderr and stdout stays human-readable)\n",

@@ -1,77 +1,13 @@
 #include "qdd/viz/JsonExporter.hpp"
 
+#include "qdd/common/Json.hpp"
 #include "qdd/common/NumberFormat.hpp"
 #include "qdd/viz/Color.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <stdexcept>
 
 namespace qdd::viz {
-
-void appendJsonEscaped(std::string& out, std::string_view s) {
-  // plain characters are copied in runs; only the escapes are written one
-  // by one
-  std::size_t plain = 0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const auto c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') {
-      continue;
-    }
-    out.append(s.data() + plain, i - plain);
-    plain = i + 1;
-    switch (c) {
-    case '"':
-      out += "\\\"";
-      break;
-    case '\\':
-      out += "\\\\";
-      break;
-    case '\n':
-      out += "\\n";
-      break;
-    case '\r':
-      out += "\\r";
-      break;
-    case '\t':
-      out += "\\t";
-      break;
-    case '\b':
-      out += "\\b";
-      break;
-    case '\f':
-      out += "\\f";
-      break;
-    default:
-      out += "\\u00";
-      out += static_cast<char>('0' + (c >> 4U));
-      out += "0123456789abcdef"[c & 0xFU];
-      break;
-    }
-  }
-  out.append(s.data() + plain, s.size() - plain);
-}
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  appendJsonEscaped(out, s);
-  return out;
-}
-
-void appendJsonNumber(std::string& out, double v, int precision) {
-  if (!std::isfinite(v)) {
-    out += "null"; // NaN/Inf have no JSON literal; never emit them bare
-    return;
-  }
-  appendGeneral(out, v, precision);
-}
-
-std::string jsonNumber(double v, int precision) {
-  std::string out;
-  appendJsonNumber(out, v, precision);
-  return out;
-}
 
 namespace {
 
@@ -79,17 +15,17 @@ void appendWeight(std::string& out, const ComplexValue& w, int precision) {
   const double mag = w.mag();
   const double phase = w.arg();
   out += "{\"re\": ";
-  appendJsonNumber(out, w.re, precision);
+  json::appendNumber(out, w.re, precision);
   out += ", \"im\": ";
-  appendJsonNumber(out, w.im, precision);
+  json::appendNumber(out, w.im, precision);
   out += ", \"mag\": ";
-  appendJsonNumber(out, mag, precision);
+  json::appendNumber(out, mag, precision);
   out += ", \"phase\": ";
-  appendJsonNumber(out, phase, precision);
+  json::appendNumber(out, phase, precision);
   out += ", \"color\": \"";
   phaseToColor(phase).appendHex(out);
   out += "\", \"thickness\": ";
-  appendJsonNumber(out, magnitudeToThickness(mag), 3);
+  json::appendNumber(out, magnitudeToThickness(mag), 3);
   out += '}';
 }
 

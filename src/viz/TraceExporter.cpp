@@ -1,5 +1,6 @@
 #include "qdd/viz/TraceExporter.hpp"
 
+#include "qdd/common/Json.hpp"
 #include "qdd/viz/JsonExporter.hpp"
 #include "qdd/viz/TextDump.hpp"
 
@@ -11,9 +12,6 @@
 namespace qdd::viz {
 
 namespace {
-
-// (string escaping lives in JsonExporter.hpp: viz::jsonEscape handles
-// quotes, backslashes, and every control character)
 
 /// Indents every line of a JSON fragment for embedding.
 std::string indent(const std::string& text, const std::string& pad) {
@@ -40,7 +38,7 @@ std::string exportSimulationTrace(const ir::QuantumComputation& qc,
 
   std::ostringstream ss;
   ss << "{\n";
-  ss << "  \"circuit\": \"" << jsonEscape(qc.name()) << "\",\n";
+  ss << "  \"circuit\": \"" << json::escape(qc.name()) << "\",\n";
   ss << "  \"qubits\": " << qc.numQubits() << ",\n";
   ss << "  \"clbits\": " << qc.numClbits() << ",\n";
   ss << "  \"operations\": " << qc.size() << ",\n";
@@ -50,9 +48,9 @@ std::string exportSimulationTrace(const ir::QuantumComputation& qc,
                             bool last) {
     ss << "    {\n";
     ss << "      \"index\": " << index << ",\n";
-    ss << "      \"operation\": \"" << jsonEscape(opName) << "\",\n";
+    ss << "      \"operation\": \"" << json::escape(opName) << "\",\n";
     ss << "      \"state\": \""
-       << jsonEscape(toDirac(pkg, session.state(), 4)) << "\",\n";
+       << json::escape(toDirac(pkg, session.state(), 4)) << "\",\n";
     // Applied steps (index >= 1) carry the table-pressure snapshot and the
     // step profile (wall time, active nodes per level) the session recorded
     // right after the operation.

@@ -301,6 +301,18 @@ TEST_F(ObsTest, ValidatorRejectsMalformedInput) {
   ]})";
   EXPECT_FALSE(
       obs::validateChromeTrace(noSteps, /*requireStepMetrics=*/true).valid);
+  // malformed numbers and a raw control character in a string: no strict
+  // JSON parser accepts these
+  for (const std::string bad :
+       {R"({"traceEvents":[{"name":"a","ph":"X","ts":1.2.3,"dur":1}]})",
+        R"({"traceEvents":[{"name":"a","ph":"X","ts":1e,"dur":1}]})",
+        "{\"traceEvents\":[{\"name\":\"a\x01\",\"ph\":\"X\",\"ts\":0,"
+        "\"dur\":1}]}"}) {
+    const obs::TraceCheckResult result = obs::validateChromeTrace(bad);
+    EXPECT_FALSE(result.valid) << bad;
+    EXPECT_NE(result.error.find("JSON parse error"), std::string::npos)
+        << result.error;
+  }
 }
 
 TEST_F(ObsTest, StatsJsonIsDeterministic) {

@@ -188,6 +188,68 @@ TEST(SimSession, NodeHistoryTracksGrowth) {
   EXPECT_GE(session.peakNodes(), 7U);
 }
 
+TEST(SimSession, NodeCountFollowsEveryStateChange) {
+  // currentNodes() is counted when the state changes, not on every read; it
+  // must equal a fresh walk of the state after every kind of move, across a
+  // mid-circuit measurement and a reset
+  const auto qc = qasm::parse(R"(
+OPENQASM 2.0;
+include "qelib1.inc";
+qreg q[3];
+creg c[1];
+h q[0];
+cx q[0], q[1];
+h q[2];
+measure q[0] -> c[0];
+cx q[2], q[1];
+reset q[1];
+h q[1];
+t q[2];
+cx q[2], q[0];
+)");
+  Package pkg(3);
+  const auto check = [](const SimulationSession& s, const char* move) {
+    EXPECT_EQ(s.currentNodes(), Package::size(s.state()))
+        << "after " << move << " at position " << s.position();
+  };
+
+  SimulationSession session(qc, pkg, 7);
+  check(session, "construction");
+  while (session.stepForward()) {
+    check(session, "forward");
+  }
+  for (int k = 0; k < 5; ++k) {
+    ASSERT_TRUE(session.stepBackward());
+    check(session, "back");
+  }
+  session.runToStart();
+  check(session, "runToStart");
+  for (int k = 0; k < 5; ++k) {
+    ASSERT_TRUE(session.stepForward());
+    check(session, "forward");
+  }
+
+  // past the measurement, where q2 and q1 are entangled (4 nodes, the zero
+  // state has 3): restore into a fresh session, then move on from there
+  // across the reset, back to the restored state, and to the start
+  ASSERT_NE(session.currentNodes(), 3U);
+  SimulationSession restored(qc, pkg, 7);
+  restored.restoreTo(session.state(), session.position(),
+                     session.classicalBits(), session.peakNodes(),
+                     session.outcomeDraws());
+  check(restored, "restoreTo");
+  while (restored.stepForward()) {
+    check(restored, "forward");
+  }
+  while (restored.stepBackward()) {
+    check(restored, "back");
+  }
+  EXPECT_EQ(restored.position(), 5U);
+  restored.runToStart();
+  check(restored, "runToStart");
+  EXPECT_EQ(restored.position(), 0U);
+}
+
 TEST(SimSampling, BellDistribution) {
   auto qc = ir::builders::bell();
   qc.measureAll();

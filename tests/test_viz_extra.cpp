@@ -1,6 +1,7 @@
 // Tests for the TikZ exporter, the ASCII circuit renderer, and the
 // JSON-exporter wire-format guarantees the qdd::service API relies on.
 
+#include "qdd/common/Json.hpp"
 #include "qdd/dd/Package.hpp"
 #include "qdd/ir/Builders.hpp"
 #include "qdd/viz/CircuitDiagram.hpp"
@@ -146,19 +147,24 @@ TEST(VizCircuit, EmptyCircuit) {
 }
 
 TEST(VizJsonWire, EscapesControlCharactersAndQuotes) {
-  EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-  EXPECT_EQ(jsonEscape("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(jsonEscape("tab\tnl\ncr\r"), "tab\\tnl\\ncr\\r");
+  EXPECT_EQ(json::escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json::escape("back\\slash"), "back\\\\slash");
+  EXPECT_EQ(json::escape("tab\tnl\ncr\r"), "tab\\tnl\\ncr\\r");
   // other control characters become \u00XX, never raw bytes
-  EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
-  EXPECT_EQ(jsonEscape(std::string(1, '\x1f')), "\\u001f");
+  EXPECT_EQ(json::escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(json::escape(std::string(1, '\x1f')), "\\u001f");
 }
 
 TEST(VizJsonWire, NonFiniteNumbersNeverEmitBare) {
-  EXPECT_EQ(jsonNumber(std::numeric_limits<double>::quiet_NaN(), 6), "null");
-  EXPECT_EQ(jsonNumber(std::numeric_limits<double>::infinity(), 6), "null");
-  EXPECT_EQ(jsonNumber(-std::numeric_limits<double>::infinity(), 6), "null");
-  EXPECT_EQ(jsonNumber(0.5, 6), "0.5");
+  const auto number = [](double v) {
+    std::string out;
+    json::appendNumber(out, v, 6);
+    return out;
+  };
+  EXPECT_EQ(number(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(number(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(number(0.5), "0.5");
 }
 
 TEST(VizJsonWire, CompactModeIsOneLineAndSameDocument) {
