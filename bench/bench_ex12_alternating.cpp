@@ -8,7 +8,9 @@
 
 #include "qdd/ir/Builders.hpp"
 #include "qdd/verify/EquivalenceChecker.hpp"
+#include "qdd/verify/VerificationSession.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace qdd;
@@ -27,9 +29,20 @@ int main() {
     std::printf("full construction (sequential): max %zu nodes (paper: "
                 "21)\n",
                 seq.maxNodes);
-    std::printf("alternating (barrier-sync):     max %zu nodes (paper: "
-                "9)\n",
-                sync.maxNodes);
+    // The paper counts identity towers: step a session through the same
+    // barrier-sync schedule and count every intermediate DD with its
+    // skipped levels materialized.
+    Package stepPkg(3);
+    verify::VerificationSession session(qft, compiled, stepPkg);
+    session.runToCompletion();
+    std::size_t towerPeak = Package::materializedSize(session.state(), 3);
+    while (session.stepBack()) {
+      towerPeak = std::max(towerPeak,
+                           Package::materializedSize(session.state(), 3));
+    }
+    std::printf("alternating (barrier-sync):     max %zu nodes, %zu with "
+                "identity towers materialized (paper: 9)\n",
+                sync.maxNodes, towerPeak);
     std::printf("both conclude: %s / %s\n",
                 toString(seq.equivalence).c_str(),
                 toString(sync.equivalence).c_str());

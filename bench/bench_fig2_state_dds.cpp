@@ -36,9 +36,10 @@ int main() {
   bench::heading("Fig. 2(c): DD of the controlled-NOT gate");
   const mEdge cx = pkg.makeGateDD(X_MAT, 2, {{1, true}}, 0);
   std::printf("%s", viz::asciiDump(viz::buildGraph(cx)).c_str());
-  std::printf("nodes: %zu   (paper: 3; off-diagonal successors are "
-              "0-stubs)\n",
-              Package::size(cx));
+  std::printf("nodes: %zu with identity-skipping edges; %zu with the "
+              "skipped identity level materialized   (paper: 3; off-diagonal "
+              "successors are 0-stubs)\n",
+              Package::size(cx), Package::materializedSize(cx, 2));
 
   bench::heading("Sec. III-A compactness: DD nodes vs dense amplitudes");
   std::printf("%-6s %-14s %-14s %-16s %-16s\n", "n", "GHZ DD nodes",

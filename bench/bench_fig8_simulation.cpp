@@ -8,13 +8,11 @@
 
 #include "qdd/baseline/DenseSimulator.hpp"
 #include "qdd/bridge/DDBuilder.hpp"
-#include "qdd/dd/Serialization.hpp"
 #include "qdd/ir/Builders.hpp"
 #include "qdd/sim/SimulationSession.hpp"
 #include "qdd/viz/TextDump.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -23,32 +21,56 @@ using namespace qdd;
 
 namespace {
 
-/// Times one full simulation of `qc` under the given apply mode on a fresh
-/// package (so the apply-path counters belong to this run alone) and
-/// reports the kernel coverage alongside. Best-of-`repeats` wall time.
+/// The general path the direct kernels replace: every gate's matrix DD is
+/// built and multiplied into the state, with the same per-gate bookkeeping
+/// (peak size, GC check) as `bridge::simulate`.
+void simulateGeneral(const ir::QuantumComputation& qc, Package& p,
+                     bridge::BuildStats& stats) {
+  const std::size_t n = qc.numQubits();
+  vEdge state = p.makeZeroState(n);
+  p.incRef(state);
+  for (const auto& op : qc) {
+    if (op->type() == ir::OpType::Barrier) {
+      continue;
+    }
+    const vEdge next = p.multiply(bridge::getDD(*op, n, p), state);
+    p.incRef(next);
+    p.decRef(state);
+    state = next;
+    stats.maxNodes = std::max(stats.maxNodes, Package::size(state));
+    p.garbageCollect();
+  }
+  p.decRef(state);
+}
+
+/// Times one full simulation of `qc` on a fresh package (so the apply-path
+/// counters belong to this run alone), through the direct kernels or the
+/// general path, and reports the kernel coverage alongside.
+/// Best-of-`repeats` wall time.
 struct AblationRun {
   double ms = 0.;
   double coverage = 0.;
   std::size_t peakNodes = 0;
 };
 
-AblationRun runAblation(const ir::QuantumComputation& qc,
-                        bridge::ApplyMode mode, int repeats) {
+AblationRun runAblation(const ir::QuantumComputation& qc, bool general,
+                        int repeats) {
   AblationRun run;
   run.ms = 1e300;
-  const bridge::ApplyMode saved = bridge::globalApplyMode();
-  bridge::setGlobalApplyMode(mode);
   for (int r = 0; r < repeats; ++r) {
     Package p(qc.numQubits());
     bridge::BuildStats stats;
     const double ms = bench::timeMs([&] {
-      (void)bridge::simulate(qc, p.makeZeroState(qc.numQubits()), p, stats);
+      if (general) {
+        simulateGeneral(qc, p, stats);
+      } else {
+        (void)bridge::simulate(qc, p.makeZeroState(qc.numQubits()), p, stats);
+      }
     });
     run.ms = std::min(run.ms, ms);
     run.coverage = p.applyPathCounters().coverage();
     run.peakNodes = stats.maxNodes;
   }
-  bridge::setGlobalApplyMode(saved);
   return run;
 }
 
@@ -148,9 +170,8 @@ int main(int argc, char** argv) {
   }
   for (const auto& row : ablRows) {
     const std::size_t n = row.qc.numQubits();
-    const auto fast = runAblation(row.qc, bridge::ApplyMode::Fast, repeats);
-    const auto general =
-        runAblation(row.qc, bridge::ApplyMode::General, repeats);
+    const auto fast = runAblation(row.qc, false, repeats);
+    const auto general = runAblation(row.qc, true, repeats);
     const double speedup = fast.ms > 0. ? general.ms / fast.ms : 0.;
     std::printf("%-12s %-6zu %-8zu %-11.3f %-12.3f %-9.2f %-9.2f\n",
                 row.name, n, row.qc.gateCount(), fast.ms, general.ms, speedup,
@@ -164,13 +185,12 @@ int main(int argc, char** argv) {
                 bench::ResourceUsage::sample().toJson().c_str());
   }
   std::printf("\nfast = direct kernels on the state DD; general = gate-DD "
-              "multiply rebuilt per gate (QDD_APPLY=general).\n");
+              "multiply rebuilt per gate.\n");
 
-  bench::heading("functionality build: identity-skipping vs materialized "
-                 "identity towers (QDD_DD_IDENTITY)");
-  std::printf("%-20s %-6s %-8s %-11s %-11s %-9s %-10s %-10s %-6s\n",
-              "workload", "n", "gates", "strip gDD", "mat gDD", "reduce",
-              "strip(ms)", "mat(ms)", "match");
+  bench::heading("functionality build: identity-skipping gate DDs vs their "
+                 "materialized node count");
+  std::printf("%-20s %-6s %-8s %-11s %-11s %-9s %-10s\n", "workload", "n",
+              "gates", "strip gDD", "mat gDD", "reduce", "strip(ms)");
   bench::rule();
   struct FuncRow {
     const char* name;
@@ -182,61 +202,39 @@ int main(int argc, char** argv) {
       {"funcbuild_grover", ir::builders::grover(10, (1ULL << 10) - 2)});
   for (const auto& row : funcRows) {
     const std::size_t n = row.qc.numQubits();
-    struct ModeResult {
-      std::size_t gateNodes = 0; ///< cumulative gate-operator DD sizes
-      bridge::BuildStats stats;
-      double ms = 0.;
-      std::string serialized;
-    };
-    std::array<ModeResult, 2> res;
-    const std::array<IdentityMode, 2> modes{IdentityMode::Strip,
-                                            IdentityMode::Materialize};
-    for (std::size_t m = 0; m < 2; ++m) {
-      Package p(n, NormalizationScheme::Largest, RealTable::DEFAULT_TOLERANCE,
-                modes[m]);
-      mEdge u = mEdge::zero();
-      res[m].ms = bench::timeMs(
-          [&] { u = bridge::buildFunctionality(row.qc, p, res[m].stats); });
-      res[m].serialized = serializeToString(u, n);
-      for (const auto& op : row.qc) {
-        res[m].gateNodes += Package::size(bridge::getDD(*op, n, p));
-      }
+    Package p(n);
+    bridge::BuildStats stats;
+    const double ms = bench::timeMs(
+        [&] { (void)bridge::buildFunctionality(row.qc, p, stats); });
+    std::size_t stripGateNodes = 0;
+    std::size_t materializeGateNodes = 0;
+    for (const auto& op : row.qc) {
+      const mEdge gate = bridge::getDD(*op, n, p);
+      stripGateNodes += Package::size(gate);
+      materializeGateNodes += Package::materializedSize(gate, n);
     }
-    // cross-validate: both modes must canonicalize to the same root in a
-    // fresh identity-skipping package
-    Package ref(n, NormalizationScheme::Largest, RealTable::DEFAULT_TOLERANCE,
-                IdentityMode::Strip);
-    const mEdge a = deserializeMatrixFromString(ref, res[0].serialized);
-    const mEdge b = deserializeMatrixFromString(ref, res[1].serialized);
-    const bool rootsMatch = a.p == b.p && a.w.approximatelyEquals(b.w, 1e-9);
     const double reduction =
-        res[0].gateNodes > 0
-            ? static_cast<double>(res[1].gateNodes) /
-                  static_cast<double>(res[0].gateNodes)
-            : 0.;
-    std::printf("%-20s %-6zu %-8zu %-11zu %-11zu %-9.2f %-10.3f %-10.3f "
-                "%-6s\n",
-                row.name, n, row.qc.gateCount(), res[0].gateNodes,
-                res[1].gateNodes, reduction, res[0].ms, res[1].ms,
-                rootsMatch ? "yes" : "NO");
-    std::printf(
-        "BENCH_APPLY %s_%zu {\"n\": %zu, \"gates\": %zu, "
-        "\"stripGateNodes\": %zu, \"materializeGateNodes\": %zu, "
-        "\"nodeReduction\": %.3f, \"stripPeakNodes\": %zu, "
-        "\"materializePeakNodes\": %zu, \"finalNodes\": %zu, "
-        "\"stripMs\": %.3f, \"materializeMs\": %.3f, \"rootsMatch\": %s, "
-        "\"resources\": %s}\n",
-        row.name, n, n, row.qc.gateCount(), res[0].gateNodes,
-        res[1].gateNodes, reduction, res[0].stats.maxNodes,
-        res[1].stats.maxNodes, res[0].stats.finalNodes, res[0].ms, res[1].ms,
-        rootsMatch ? "true" : "false",
-        bench::ResourceUsage::sample().toJson().c_str());
+        stripGateNodes > 0 ? static_cast<double>(materializeGateNodes) /
+                                 static_cast<double>(stripGateNodes)
+                           : 0.;
+    std::printf("%-20s %-6zu %-8zu %-11zu %-11zu %-9.2f %-10.3f\n", row.name,
+                n, row.qc.gateCount(), stripGateNodes, materializeGateNodes,
+                reduction, ms);
+    std::printf("BENCH_APPLY %s_%zu {\"n\": %zu, \"gates\": %zu, "
+                "\"stripGateNodes\": %zu, \"materializeGateNodes\": %zu, "
+                "\"nodeReduction\": %.3f, \"stripPeakNodes\": %zu, "
+                "\"finalNodes\": %zu, \"stripMs\": %.3f, \"resources\": %s}\n",
+                row.name, n, n, row.qc.gateCount(), stripGateNodes,
+                materializeGateNodes, reduction, stats.maxNodes,
+                stats.finalNodes, ms,
+                bench::ResourceUsage::sample().toJson().c_str());
   }
   std::printf("\nstrip/mat gDD = cumulative nodes of the per-gate operator "
-              "DDs built during the functionality build: identity-skipping "
-              "edges never materialize the identity tower above/below a "
-              "gate's support. The accumulated product converges to the same "
-              "canonical DD in both modes (match column).\n");
+              "DDs built during the functionality build, as built and as "
+              "counted with every skipped level materialized as an identity "
+              "node (Package::materializedSize): identity-skipping edges "
+              "never build the identity tower above/below a gate's "
+              "support.\n");
 
   if (quick) {
     return 0; // CI perf smoke: ablation records emitted, skip the slow rest

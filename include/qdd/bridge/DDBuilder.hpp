@@ -3,32 +3,11 @@
 #include "qdd/dd/Package.hpp"
 #include "qdd/ir/QuantumComputation.hpp"
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 
 namespace qdd::bridge {
 
 class GateDDCache;
-
-/// Which engine applies gates to state DDs.
-enum class ApplyMode : std::uint8_t {
-  /// Direct Package::applyGate kernels for (multi-)controlled single-qubit
-  /// gates and SWAP; the gate-DD cache serves the two-qubit unitaries the
-  /// kernels do not cover. The default.
-  Fast,
-  /// The original makeGateDD + multiply path, bypassing kernels and cache —
-  /// the ablation baseline benches and tests compare against.
-  General,
-};
-
-[[nodiscard]] std::string toString(ApplyMode mode);
-/// Parses the QDD_APPLY environment variable ("fast" | "general"); unset or
-/// unrecognized values yield ApplyMode::Fast.
-[[nodiscard]] ApplyMode applyModeFromEnv();
-/// Process-wide apply mode: initialized from QDD_APPLY on first use,
-/// overridable for ablation runs.
-[[nodiscard]] ApplyMode globalApplyMode();
-void setGlobalApplyMode(ApplyMode mode);
 
 /// Builds the DD of the unitary matrix realized by `op` on an `n`-qubit
 /// system. Throws std::invalid_argument for non-unitary operations
@@ -54,24 +33,20 @@ struct BuildStats {
 mEdge buildFunctionality(const ir::QuantumComputation& qc, Package& pkg,
                          BuildStats& stats);
 
-/// Applies one unitary operation to a state DD according to `mode` (the
-/// global mode by default): the direct applyGate/applySwap kernels where they
-/// exist, the gate-DD cache (when one is passed) plus the general multiply
-/// for the rest. Barriers return the state unchanged; compound operations
-/// fold over their members. Throws std::invalid_argument for non-unitary
-/// operations. The returned edge is NOT reference-held.
+/// Applies one unitary operation to a state DD: the direct
+/// applyGate/applySwap kernels where they exist, the gate-DD cache (when one
+/// is passed) plus the general multiply for the rest. Barriers return the
+/// state unchanged; compound operations fold over their members. Throws
+/// std::invalid_argument for non-unitary operations. The returned edge is
+/// NOT reference-held.
 vEdge applyOperation(const ir::Operation& op, std::size_t n,
                      const vEdge& state, Package& pkg,
-                     GateDDCache* cache = nullptr);
-vEdge applyOperation(const ir::Operation& op, std::size_t n,
-                     const vEdge& state, Package& pkg, ApplyMode mode,
                      GateDDCache* cache = nullptr);
 
 /// Simulates a purely unitary circuit on the given initial state and returns
 /// the final state DD (reference counts managed internally; result not
-/// reference-held). Gates are applied through `applyOperation` under the
-/// global apply mode. For circuits with measurements/resets use
-/// sim::SimulationSession.
+/// reference-held). Gates are applied through `applyOperation`. For circuits
+/// with measurements/resets use sim::SimulationSession.
 vEdge simulate(const ir::QuantumComputation& qc, const vEdge& initial,
                Package& pkg);
 vEdge simulate(const ir::QuantumComputation& qc, const vEdge& initial,

@@ -31,6 +31,24 @@ inline void appendGeneral(std::string& out, double v, int precision) {
   out.resize(static_cast<std::size_t>(result.ptr - out.data()));
 }
 
+/// Appends `v` with `precision` digits after the point: the same bytes as
+/// `std::ostream << std::fixed << std::setprecision(precision) << v`
+/// (printf "%.*f" in the C locale), including "nan", "inf" and "-0.0".
+/// A negative precision means the stream default, 6.
+inline void appendFixed(std::string& out, double v, int precision) {
+  if (precision < 0) {
+    precision = 6;
+  }
+  // "%.Pf" never needs more than P + 311 characters: a sign, the 309
+  // integer digits of DBL_MAX, a point and P digits
+  const std::size_t start = out.size();
+  out.resize(start + static_cast<std::size_t>(precision) + 311);
+  const auto result = std::to_chars(out.data() + start,
+                                    out.data() + out.size(), v,
+                                    std::chars_format::fixed, precision);
+  out.resize(static_cast<std::size_t>(result.ptr - out.data()));
+}
+
 /// Appends the decimal digits of `v` (with a '-' when negative).
 template <class Int> void appendInteger(std::string& out, Int v) {
   static_assert(std::is_integral_v<Int>);

@@ -19,32 +19,6 @@
 
 namespace qdd {
 
-/// How matrix DDs represent identity structure (arXiv:2406.11959,
-/// "Stripping Quantum Decision Diagrams of their Identity").
-enum class IdentityMode : std::uint8_t {
-  /// Identity-skipping edges: a matrix node whose successors are
-  /// [a, 0, 0, a] with identical sub-edges is never materialized — the edge
-  /// points directly to `a`, and every level between an edge's source and
-  /// its target (and every level below a terminal matrix edge) implicitly
-  /// carries the identity. Single-qubit gate DDs are a single node
-  /// regardless of the system size, and `makeIdent(n)` is the bare
-  /// terminal edge.
-  Strip,
-  /// Legacy representation: every level is materialized explicitly, so a
-  /// single-qubit gate on an n-qubit system owns an n-level identity tower.
-  Materialize,
-};
-
-/// Parses "strip"/"materialize"; anything else falls back to Strip.
-IdentityMode parseIdentityMode(const char* value) noexcept;
-/// Mode selected by the QDD_DD_IDENTITY environment variable (default Strip).
-IdentityMode identityModeFromEnv();
-/// Process-wide default used by newly constructed packages (initialized from
-/// QDD_DD_IDENTITY; the mode of an existing Package never changes).
-IdentityMode globalIdentityMode();
-void setGlobalIdentityMode(IdentityMode mode);
-const char* toString(IdentityMode mode) noexcept;
-
 /// Normalization scheme applied when creating nodes (paper Sec. III-A and
 /// footnote 3).
 enum class NormalizationScheme : std::uint8_t {
@@ -67,12 +41,17 @@ enum class NormalizationScheme : std::uint8_t {
 /// matrices, tensor products (Fig. 3), addition and matrix multiplication
 /// (Fig. 4), measurement/sampling ([16]), and the canonicity that underlies
 /// equivalence checking (Sec. III-C).
+///
+/// Matrix DDs skip identity levels (arXiv:2406.11959): a node whose
+/// successors would be [a, 0, 0, a] is never built, so a node at level `v`
+/// reached from level `u > v + 1` represents I^(u-v-1) (x) M, and a terminal
+/// matrix edge represents w * I on all remaining levels. Vector DDs are
+/// always fully expanded.
 class Package {
 public:
   explicit Package(std::size_t nqubits,
                    NormalizationScheme scheme = NormalizationScheme::Largest,
-                   double tolerance = RealTable::DEFAULT_TOLERANCE,
-                   IdentityMode identityMode = globalIdentityMode());
+                   double tolerance = RealTable::DEFAULT_TOLERANCE);
 
   Package(const Package&) = delete;
   Package& operator=(const Package&) = delete;
@@ -81,21 +60,15 @@ public:
   /// Grows the package to support at least `n` qubits.
   void resize(std::size_t n);
   /// Shrinks the package to exactly `n` qubits, releasing all nodes at the
-  /// removed levels (including the pinned identity DDs above `n`). No live
-  /// user-held edge may still point into the removed levels. Advances the
-  /// allocation generation so stale compute-cache entries are rejected
-  /// lazily, then forces a garbage collection.
+  /// removed levels. No live user-held edge may still point into the removed
+  /// levels. Advances the allocation generation so stale compute-cache
+  /// entries are rejected lazily, then forces a garbage collection.
   void shrink(std::size_t n);
 
   [[nodiscard]] double tolerance() const noexcept { return cTable.tolerance(); }
   [[nodiscard]] NormalizationScheme normalizationScheme() const noexcept {
     return scheme;
   }
-  /// Matrix-DD identity representation of this package, fixed at
-  /// construction. Under `Strip`, matrix edges skip identity levels: a node
-  /// at level `v` reached from level `u > v + 1` represents I^(u-v-1) (x) M,
-  /// and a terminal matrix edge represents w * I on all remaining levels.
-  [[nodiscard]] IdentityMode identityMode() const noexcept { return idMode; }
   ComplexTable& complexTable() noexcept { return cTable; }
 
   /// Enables/disables operation memoization (footnote 4). Intended for
@@ -156,7 +129,8 @@ public:
 
   // --- matrices ------------------------------------------------------------
 
-  /// Identity on qubits 0..n-1 (cached, reference-held by the package).
+  /// Identity on qubits 0..n-1: the bare terminal edge of weight one, since
+  /// every level is skipped.
   mEdge makeIdent(std::size_t n);
   /// DD of a single-qubit gate applied to `target` on an `n`-qubit system
   /// (the tensor-product extension of Ex. 3/Fig. 3 performed natively).
@@ -201,9 +175,8 @@ public:
 
   /// How often each apply kernel fired. `fallback` counts gate applications
   /// that went through the general `multiply` recursion instead (incremented
-  /// by callers via `noteApplyFallback`, e.g. for two-qubit unitaries or in
-  /// the `QDD_APPLY=general` ablation), so
-  /// coverage = fast / (fast + fallback) is meaningful across modes.
+  /// by callers via `noteApplyFallback`, e.g. for the two-qubit unitaries no
+  /// kernel covers), so coverage = fast / (fast + fallback).
   [[nodiscard]] const mem::ApplyPathStats& applyPathCounters() const noexcept {
     return applyCounters;
   }
@@ -219,7 +192,8 @@ public:
   mEdge multiply(const mEdge& x, const mEdge& y);
   /// Tensor product: `top` acts on the more-significant qubits, `bottom` on
   /// the less-significant ones. Realized by terminal replacement (Ex. 8 /
-  /// Fig. 3).
+  /// Fig. 3). The span of `bottom` is taken from its root level, which
+  /// misses any skipped identity levels above that root.
   mEdge kron(const mEdge& top, const mEdge& bottom);
   /// Tensor product with an explicit span for `bottom`. Required for exact
   /// placement under identity skipping, where the root level of `bottom` may
@@ -315,6 +289,12 @@ public:
   /// paper's convention in Ex. 6).
   static std::size_t size(const vEdge& e);
   static std::size_t size(const mEdge& e);
+  /// Number of nodes the matrix DD `e` on `n` qubits would have if every
+  /// level its edges skip were built as an explicit identity node [a,0,0,a]
+  /// — the count behind the paper's figures (Fig. 2(c)'s 3-node CNOT,
+  /// Ex. 12's 9-node peak). A skipped level above a node `p` becomes one
+  /// identity node per (p, level), shared by every edge that skips it.
+  static std::size_t materializedSize(const mEdge& e, std::size_t n);
   /// Active node count per qubit level of the DD rooted at `e` (index =
   /// level; the sum over all levels equals `size(e)`). Feeds the per-step
   /// metrics time series of the observability layer.
@@ -388,7 +368,6 @@ private:
 
   std::size_t nqubits;
   NormalizationScheme scheme;
-  IdentityMode idMode;
   bool computeTablesEnabled = true;
 
   ComplexTable cTable;
@@ -413,10 +392,6 @@ private:
   // tables reach high hit rates while staying cache-resident.
   ComputeTable<Complex, Complex, Complex, (1U << 12U)> mulWeightTable;
   ComputeTable<Complex, WeightPair, Complex, (1U << 12U)> mulWeight3Table;
-
-  /// idTable[k] is the identity DD on levels 0..k-1 (idTable[0] = 1-terminal
-  /// edge). Entries are reference-held by the package so they survive GC.
-  std::vector<mEdge> idTable;
 
   /// Allocation-generation epoch shared by vMem, mMem, and the real table's
   /// entry pool. Bumped (and synced into all three) before any published

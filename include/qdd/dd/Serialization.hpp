@@ -25,15 +25,12 @@ namespace qdd {
 /// sit any number of levels below its parent — the gap is implicit identity —
 /// and a non-zero terminal child of a node above level 0 denotes the identity
 /// on all remaining levels. Version 1 files (fully materialized towers) are
-/// still read; deserializing them into a Strip-mode package strips the towers
-/// on the fly, and deserializing a v2 file into a Materialize-mode package
-/// re-expands the skipped levels explicitly (using the recorded span to pad
-/// above the root).
+/// still read; the towers are stripped on the fly.
 ///
 /// Deserialization rebuilds the DD through the package's normalizing node
 /// constructors, so a round trip yields the canonical representative of the
 /// serialized function (pointer-identical to the original within the same
-/// package and identity mode).
+/// package).
 void serialize(const vEdge& e, std::ostream& os);
 void serialize(const mEdge& e, std::ostream& os);
 /// Matrix serialization with an explicit qubit span (>= the root level + 1).

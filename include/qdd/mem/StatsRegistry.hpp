@@ -101,10 +101,8 @@ struct ComputeTableStats {
 
 /// Counters of the direct gate-application engine (`Package::applyGate`):
 /// which kernel served each gate application. `fallback` counts applications
-/// routed through the general matrix-DD `multiply` recursion instead — either
-/// because no fast path exists for the operation (arbitrary two-qubit
-/// unitaries) or because the `QDD_APPLY=general` ablation disabled the
-/// engine — so `coverage()` is comparable across modes.
+/// routed through the general matrix-DD `multiply` recursion instead, because
+/// no fast path exists for the operation (arbitrary two-qubit unitaries).
 struct ApplyPathStats {
   std::size_t diagonal = 0;    ///< diagonal gates: pure edge-weight rescale
   std::size_t permutation = 0; ///< antidiagonal gates: pure child swap

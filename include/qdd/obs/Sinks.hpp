@@ -3,7 +3,6 @@
 // Concrete sinks for the qdd::obs registry (see Obs.hpp):
 //   * ChromeTraceSink — buffers records and exports one Chrome trace-event
 //     JSON document loadable by chrome://tracing and ui.perfetto.dev;
-//   * JsonlSink — streams every record as one JSON object per line;
 //   * AggregatorSink — in-memory per-operation latency histograms
 //     (p50/p95/p99) and the per-simulation-step DD metrics time series.
 
@@ -12,7 +11,6 @@
 #include <cstddef>
 #include <map>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -60,22 +58,6 @@ private:
 
   std::vector<Event> events;
   std::string statsJson;
-};
-
-/// Streams one JSON object per record to an ostream, immediately — the
-/// tail-able event feed for long runs (no buffering beyond the stream's).
-class JsonlSink : public Sink {
-public:
-  /// The stream must outlive the sink.
-  explicit JsonlSink(std::ostream& out) : out(out) {}
-
-  void onSpan(const SpanRecord& span) override;
-  void onCounter(const CounterRecord& counter) override;
-  void onStep(const StepMetrics& step) override;
-  void flush() override;
-
-private:
-  std::ostream& out;
 };
 
 /// Latency percentiles of one span population (category/name pair).

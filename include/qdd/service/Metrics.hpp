@@ -30,7 +30,6 @@ public:
   void recordTransportError(int status);
 
   void countSessionCreated() { bump(sessionsCreatedN); }
-  void countSessionEvicted() { bump(sessionsEvictedN); }
   void countDeadlineTimeout() { bump(deadlineTimeoutsN); }
   void countDrainRejected() { bump(drainRejectedN); }
 
@@ -38,13 +37,13 @@ public:
   [[nodiscard]] std::size_t statusCount(int status) const;
   [[nodiscard]] std::size_t deadlineTimeouts() const;
   [[nodiscard]] std::size_t sessionsCreated() const;
-  [[nodiscard]] std::size_t sessionsEvicted() const;
   [[nodiscard]] std::size_t drainRejected() const;
 
   /// Full snapshot:
   /// {"requests":n,"byStatus":{...},"routes":{pattern:{count,totalMs,maxMs,
-  ///  p50Ms,p95Ms}},"sessionsCreated":...,"sessionsEvicted":...,
-  ///  "deadlineTimeouts":...,"drainRejected":...}
+  ///  p50Ms,p95Ms}},"sessionsCreated":...,"deadlineTimeouts":...,
+  ///  "drainRejected":...}. Api::metricsDoc adds "sessionsEvicted" from the
+  /// session store, which does the evicting.
   [[nodiscard]] json::Value toJson() const;
 
   /// Prometheus text exposition of everything this object owns: request /
@@ -73,7 +72,6 @@ private:
   std::map<std::string, Route> routes;
   LatencyHistogram allRoutes; ///< aggregate over every routed request
   std::size_t sessionsCreatedN = 0;
-  std::size_t sessionsEvictedN = 0;
   std::size_t deadlineTimeoutsN = 0;
   std::size_t drainRejectedN = 0;
 };

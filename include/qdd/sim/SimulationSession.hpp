@@ -88,10 +88,8 @@ public:
     return profiles;
   }
 
-  /// Apply engine this session runs under (from the global mode at
-  /// construction) and the session's gate-DD cache — exposed so steppers and
-  /// qdd-tool can report fast-path coverage and cache hit ratios.
-  [[nodiscard]] bridge::ApplyMode applyMode() const noexcept { return mode; }
+  /// The session's gate-DD cache — exposed so steppers and qdd-tool can
+  /// report cache hit ratios.
   [[nodiscard]] const bridge::GateDDCache& gateCache() const noexcept {
     return cache;
   }
@@ -147,7 +145,6 @@ private:
 
   ir::QuantumComputation qc; ///< owned copy: sessions outlive caller scopes
   Package& pkg;
-  bridge::ApplyMode mode = bridge::globalApplyMode();
   bridge::GateDDCache cache;
   vEdge current;
   std::size_t nodes = 0; ///< Package::size(current)

@@ -22,8 +22,7 @@ struct Graph {
     ComplexValue weight;
     bool zeroStub = false;      ///< 0-stub (paper Ex. 6)
     /// Implicit identity levels skipped between source and target
-    /// (identity-skipping matrix DDs, arXiv:2406.11959). 0 for vector DDs
-    /// and for fully materialized matrix DDs.
+    /// (identity-skipping matrix DDs, arXiv:2406.11959). 0 for vector DDs.
     std::size_t skippedLevels = 0;
   };
 

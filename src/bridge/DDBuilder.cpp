@@ -4,8 +4,6 @@
 #include "qdd/dd/GateMatrix.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -83,44 +81,7 @@ mEdge getStandardDD(const ir::Operation& op, std::size_t n, Package& pkg) {
   return pkg.makeGateDD(mat, n, op.controls(), op.targets().at(0));
 }
 
-// Atomic because worker threads (qdd::exec) read the mode concurrently while
-// a test or tool may flip it between runs. Relaxed ordering suffices: the
-// mode is a standalone configuration value with no dependent data.
-std::atomic<ApplyMode>& globalModeRef() {
-  static std::atomic<ApplyMode> mode{applyModeFromEnv()};
-  return mode;
-}
-
 } // namespace
-
-std::string toString(ApplyMode mode) {
-  switch (mode) {
-  case ApplyMode::Fast:
-    return "fast";
-  case ApplyMode::General:
-    return "general";
-  }
-  return "?";
-}
-
-ApplyMode applyModeFromEnv() {
-  const char* env = std::getenv("QDD_APPLY");
-  if (env == nullptr) {
-    return ApplyMode::Fast;
-  }
-  if (std::string(env) == "general") {
-    return ApplyMode::General;
-  }
-  return ApplyMode::Fast;
-}
-
-ApplyMode globalApplyMode() {
-  return globalModeRef().load(std::memory_order_relaxed);
-}
-
-void setGlobalApplyMode(ApplyMode mode) {
-  globalModeRef().store(mode, std::memory_order_relaxed);
-}
 
 mEdge getDD(const ir::Operation& op, std::size_t n, Package& pkg) {
   if (op.type() == ir::OpType::Barrier) {
@@ -148,19 +109,13 @@ mEdge getInverseDD(const ir::Operation& op, std::size_t n, Package& pkg) {
 
 vEdge applyOperation(const ir::Operation& op, std::size_t n,
                      const vEdge& state, Package& pkg, GateDDCache* cache) {
-  return applyOperation(op, n, state, pkg, globalApplyMode(), cache);
-}
-
-vEdge applyOperation(const ir::Operation& op, std::size_t n,
-                     const vEdge& state, Package& pkg, ApplyMode mode,
-                     GateDDCache* cache) {
   if (op.type() == ir::OpType::Barrier) {
     return state;
   }
   if (const auto* comp = dynamic_cast<const ir::CompoundOperation*>(&op)) {
     vEdge e = state;
     for (const auto& sub : comp->operations()) {
-      e = applyOperation(*sub, n, e, pkg, mode, cache);
+      e = applyOperation(*sub, n, e, pkg, cache);
     }
     return e;
   }
@@ -168,23 +123,19 @@ vEdge applyOperation(const ir::Operation& op, std::size_t n,
     throw std::invalid_argument("applyOperation: operation '" + op.name() +
                                 "' has no unitary matrix");
   }
-  if (mode == ApplyMode::Fast) {
-    if (op.type() == ir::OpType::SWAP) {
-      return pkg.applySwap(op.targets().at(0), op.targets().at(1),
-                           op.controls(), state);
-    }
-    if (op.type() != ir::OpType::iSWAP && op.type() != ir::OpType::iSWAPdg &&
-        op.type() != ir::OpType::DCX) {
-      const GateMatrix mat = matrixFor(op.type(), op.parameters());
-      return pkg.applyGate(mat, op.targets().at(0), op.controls(), state);
-    }
-    // Two-qubit unitaries have no direct kernel; fall through to the matrix
-    // path (served by the cache when one is available).
+  if (op.type() == ir::OpType::SWAP) {
+    return pkg.applySwap(op.targets().at(0), op.targets().at(1),
+                         op.controls(), state);
   }
+  if (op.type() != ir::OpType::iSWAP && op.type() != ir::OpType::iSWAPdg &&
+      op.type() != ir::OpType::DCX) {
+    const GateMatrix mat = matrixFor(op.type(), op.parameters());
+    return pkg.applyGate(mat, op.targets().at(0), op.controls(), state);
+  }
+  // Two-qubit unitaries have no direct kernel: the matrix path, served by
+  // the cache when one is available.
   pkg.noteApplyFallback();
-  const mEdge gate = (cache != nullptr && mode != ApplyMode::General)
-                         ? cache->getDD(op, n)
-                         : getDD(op, n, pkg);
+  const mEdge gate = cache != nullptr ? cache->getDD(op, n) : getDD(op, n, pkg);
   return pkg.multiply(gate, state);
 }
 
@@ -200,7 +151,6 @@ mEdge buildFunctionality(const ir::QuantumComputation& qc, Package& pkg,
     throw std::invalid_argument("buildFunctionality: empty circuit");
   }
   pkg.resize(n);
-  const ApplyMode mode = globalApplyMode();
   GateDDCache cache(pkg);
   mEdge e = pkg.makeIdent(n);
   pkg.incRef(e);
@@ -209,9 +159,7 @@ mEdge buildFunctionality(const ir::QuantumComputation& qc, Package& pkg,
     if (op->type() == ir::OpType::Barrier) {
       continue;
     }
-    const mEdge gate = mode == ApplyMode::General ? getDD(*op, n, pkg)
-                                                  : cache.getDD(*op, n);
-    const mEdge next = pkg.multiply(gate, e);
+    const mEdge next = pkg.multiply(cache.getDD(*op, n), e);
     pkg.incRef(next);
     pkg.decRef(e);
     e = next;
@@ -237,7 +185,6 @@ vEdge simulate(const ir::QuantumComputation& qc, const vEdge& initial,
     throw std::invalid_argument("simulate: empty circuit");
   }
   pkg.resize(n);
-  const ApplyMode mode = globalApplyMode();
   GateDDCache cache(pkg);
   vEdge state = initial;
   pkg.incRef(state);
@@ -246,7 +193,7 @@ vEdge simulate(const ir::QuantumComputation& qc, const vEdge& initial,
     if (op->type() == ir::OpType::Barrier) {
       continue;
     }
-    const vEdge next = applyOperation(*op, n, state, pkg, mode, &cache);
+    const vEdge next = applyOperation(*op, n, state, pkg, &cache);
     pkg.incRef(next);
     pkg.decRef(state);
     state = next;

@@ -2,60 +2,23 @@
 #include "qdd/obs/Obs.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 namespace qdd {
 
 vNode vNode::terminalNode{};
 mNode mNode::terminalNode{};
 
-// --- identity-representation mode (QDD_DD_IDENTITY, same pattern as the
-// --- QDD_APPLY ablation switch in bridge/DDBuilder) --------------------------
-
-IdentityMode parseIdentityMode(const char* value) noexcept {
-  if (value != nullptr && std::strcmp(value, "materialize") == 0) {
-    return IdentityMode::Materialize;
-  }
-  return IdentityMode::Strip;
-}
-
-IdentityMode identityModeFromEnv() {
-  return parseIdentityMode(std::getenv("QDD_DD_IDENTITY"));
-}
-
-namespace {
-std::atomic<IdentityMode>& globalIdentityModeRef() {
-  static std::atomic<IdentityMode> mode{identityModeFromEnv()};
-  return mode;
-}
-} // namespace
-
-IdentityMode globalIdentityMode() {
-  return globalIdentityModeRef().load(std::memory_order_relaxed);
-}
-
-void setGlobalIdentityMode(IdentityMode mode) {
-  globalIdentityModeRef().store(mode, std::memory_order_relaxed);
-}
-
-const char* toString(IdentityMode mode) noexcept {
-  return mode == IdentityMode::Strip ? "strip" : "materialize";
-}
-
 Package::Package(std::size_t numQubits, NormalizationScheme normScheme,
-                 double tolerance, IdentityMode identityMode)
-    : nqubits(numQubits), scheme(normScheme), idMode(identityMode),
-      cTable(tolerance), vTable(vMem, numQubits), mTable(mMem, numQubits) {
-  idTable.reserve(nqubits + 1);
-  idTable.push_back(mEdge::one());
-}
+                 double tolerance)
+    : nqubits(numQubits), scheme(normScheme), cTable(tolerance),
+      vTable(vMem, numQubits), mTable(mMem, numQubits) {}
 
 void Package::resize(std::size_t n) {
   if (n <= nqubits) {
@@ -69,12 +32,6 @@ void Package::resize(std::size_t n) {
 void Package::shrink(std::size_t n) {
   if (n >= nqubits) {
     return;
-  }
-  // Unpin the cached identity DDs that span the removed levels so the
-  // subsequent sweep can reclaim them.
-  while (idTable.size() > n + 1) {
-    decRef(idTable.back());
-    idTable.pop_back();
   }
   // Published nodes are about to be freed: open a new allocation epoch first
   // so compute-table entries stamped earlier reject recycled pointers.
@@ -299,15 +256,12 @@ mEdge Package::makeMatNode(Qubit v, const std::array<mEdge, 4>& edges) {
       edge = mEdge::zero();
       continue;
     }
-    // Under Strip, successors may sit any number of levels below `v`
-    // (the gap is implicit identity); Materialize keeps strict alignment.
-    assert((idMode == IdentityMode::Strip
-                ? (edge.isTerminal() || edge.p->v < v)
-                : (edge.p->v == v - 1 || (edge.isTerminal() && v == 0))) &&
-           "level misalignment");
+    // Successors may sit any number of levels below `v` (the gap is
+    // implicit identity).
+    assert((edge.isTerminal() || edge.p->v < v) && "level misalignment");
   }
-  if (idMode == IdentityMode::Strip && e[1].w.exactlyZero() &&
-      e[2].w.exactlyZero() && e[0].p == e[3].p && e[0].w == e[3].w) {
+  if (e[1].w.exactlyZero() && e[2].w.exactlyZero() && e[0].p == e[3].p &&
+      e[0].w == e[3].w) {
     // Identity-skipping reduction (arXiv:2406.11959): successors [a, 0, 0, a]
     // represent I (x) A, so the level is skipped and `a` returned directly.
     // The weight comparison is exact — weights are canonical table pointers.
@@ -475,20 +429,9 @@ vEdge Package::makeStateFromVector(const std::complex<double>* begin,
 
 mEdge Package::makeIdent(std::size_t n) {
   resize(n);
-  if (idMode == IdentityMode::Strip) {
-    // The identity is pure skip structure: a bare terminal edge of weight
-    // one, on any number of qubits.
-    return mEdge::one();
-  }
-  while (idTable.size() <= n) {
-    const auto v = static_cast<Qubit>(idTable.size() - 1);
-    const mEdge below = idTable.back();
-    const mEdge id =
-        makeMatNode(v, {below, mEdge::zero(), mEdge::zero(), below});
-    incRef(id); // pin: identity DDs survive garbage collection
-    idTable.push_back(id);
-  }
-  return idTable[n];
+  // The identity is pure skip structure: a bare terminal edge of weight
+  // one, on any number of qubits.
+  return mEdge::one();
 }
 
 mEdge Package::makeGateDD(const GateMatrix& mat, std::size_t n, Qubit target) {
@@ -684,6 +627,28 @@ std::size_t Package::size(const mEdge& e) {
   std::unordered_set<const mNode*> seen;
   countNodes(e.p, seen);
   return seen.size();
+}
+
+std::size_t Package::materializedSize(const mEdge& e, std::size_t n) {
+  std::unordered_set<const mNode*> seen;
+  countNodes(e.p, seen);
+  std::set<std::pair<const mNode*, Qubit>> tower;
+  const auto addSkipped = [&tower](const mEdge& edge, Qubit from) {
+    if (edge.w.exactlyZero()) {
+      return;
+    }
+    const Qubit to = edge.isTerminal() ? TERMINAL_LEVEL : edge.p->v;
+    for (Qubit level = to + 1; level < from; ++level) {
+      tower.emplace(edge.p, level);
+    }
+  };
+  addSkipped(e, static_cast<Qubit>(n));
+  for (const mNode* p : seen) {
+    for (const auto& child : p->e) {
+      addSkipped(child, p->v);
+    }
+  }
+  return seen.size() + tower.size();
 }
 
 namespace {

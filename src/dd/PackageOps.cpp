@@ -217,9 +217,6 @@ mEdge Package::add(const mEdge& x, const mEdge& y) {
     }
   }
 
-  assert((idMode == IdentityMode::Strip ||
-          (!a.isTerminal() && !b.isTerminal() && a.p->v == b.p->v)) &&
-         "add: level misalignment");
   // Align the operands at the higher of the two levels. An operand whose
   // node sits below that level (or is terminal) is an implicit identity
   // there: its virtual successors are [a, 0, 0, a]. Both-terminal operands
@@ -284,16 +281,10 @@ vEdge Package::multVecChildSum(mNode* x, vNode* y, bool xAligned,
 
 vEdge Package::multiply2(mNode* x, vNode* y) {
   if (x->isTerminal()) {
-    if (idMode == IdentityMode::Strip) {
-      // Terminal matrix = identity on every remaining level: U|phi> = |phi>.
-      return y->isTerminal() ? vEdge::one() : vEdge{y, Complex::one};
-    }
-    assert(y->isTerminal() && "multiply: level misalignment");
-    return vEdge::one();
+    // Terminal matrix = identity on every remaining level: U|phi> = |phi>.
+    return y->isTerminal() ? vEdge::one() : vEdge{y, Complex::one};
   }
-  assert(!y->isTerminal() &&
-         (idMode == IdentityMode::Strip ? x->v <= y->v : x->v == y->v) &&
-         "multiply: level misalignment");
+  assert(!y->isTerminal() && x->v <= y->v && "multiply: level misalignment");
   if (computeTablesEnabled) {
     vEdge cached;
     if (multMatVecTable.lookup(x, y, cached)) {
@@ -376,21 +367,13 @@ mEdge Package::multMatChildSum(mNode* x, mNode* y, bool xAligned,
 
 mEdge Package::multiply2(mNode* x, mNode* y) {
   if (x->isTerminal() || y->isTerminal()) {
-    if (idMode == IdentityMode::Strip) {
-      // Terminal operand = identity on every remaining level, which is the
-      // multiplicative unit: the product is the other operand.
-      if (x->isTerminal() && y->isTerminal()) {
-        return mEdge::one();
-      }
-      return x->isTerminal() ? mEdge{y, Complex::one}
-                             : mEdge{x, Complex::one};
+    // Terminal operand = identity on every remaining level, which is the
+    // multiplicative unit: the product is the other operand.
+    if (x->isTerminal() && y->isTerminal()) {
+      return mEdge::one();
     }
-    assert(x->isTerminal() && y->isTerminal() &&
-           "multiply: level misalignment");
-    return mEdge::one();
+    return x->isTerminal() ? mEdge{y, Complex::one} : mEdge{x, Complex::one};
   }
-  assert((idMode == IdentityMode::Strip || x->v == y->v) &&
-         "multiply: level misalignment");
   if (computeTablesEnabled) {
     mEdge cached;
     if (multMatMatTable.lookup(x, y, cached)) {
@@ -469,9 +452,6 @@ Edge<Node> kronRec(const Edge<Node>& topEdge, Node* bottomRoot, Qubit shift,
 } // namespace
 
 mEdge Package::kron(const mEdge& top, const mEdge& bottom) {
-  // Span inferred from the bottom root: exact under Materialize; under
-  // Strip a bottom whose top levels are skipped identity needs the
-  // explicit-span overload to land `top` at the right level.
   return kron(top, bottom,
               bottom.isTerminal() ? 0
                                   : static_cast<std::size_t>(bottom.p->v) + 1);
@@ -486,14 +466,6 @@ mEdge Package::kron(const mEdge& top, const mEdge& bottom,
   if (!bottom.isTerminal() &&
       static_cast<std::size_t>(bottom.p->v) >= bottomQubits) {
     throw std::invalid_argument("kron: bottom exceeds its declared span");
-  }
-  if (idMode == IdentityMode::Materialize &&
-      bottomQubits != (bottom.isTerminal()
-                           ? 0
-                           : static_cast<std::size_t>(bottom.p->v) + 1)) {
-    // Materialized DDs cannot leave a level gap between `top` and `bottom`.
-    throw std::invalid_argument(
-        "kron: declared span does not match the materialized bottom");
   }
   const auto shift = static_cast<Qubit>(bottomQubits);
   if (!top.isTerminal()) {
@@ -689,11 +661,9 @@ ComplexValue Package::getMatrixEntry(const mEdge& e, std::uint64_t row,
     }
     return true;
   };
-  if (idMode == IdentityMode::Strip) {
-    const Qubit top = p->isTerminal() ? TERMINAL_LEVEL : p->v;
-    if (!identityBitsAgree(top, 64)) {
-      return {0., 0.};
-    }
+  const Qubit top = p->isTerminal() ? TERMINAL_LEVEL : p->v;
+  if (!identityBitsAgree(top, 64)) {
+    return {0., 0.};
   }
   while (!p->isTerminal()) {
     if (amp.exactlyZero()) {
@@ -703,12 +673,9 @@ ComplexValue Package::getMatrixEntry(const mEdge& e, std::uint64_t row,
     const std::size_t rbit = shift < 64U ? (row >> shift) & 1ULL : 0ULL;
     const std::size_t cbit = shift < 64U ? (col >> shift) & 1ULL : 0ULL;
     const mEdge& child = p->e[2 * rbit + cbit];
-    if (idMode == IdentityMode::Strip) {
-      const Qubit childTop =
-          child.p->isTerminal() ? TERMINAL_LEVEL : child.p->v;
-      if (!identityBitsAgree(childTop, p->v)) {
-        return {0., 0.};
-      }
+    const Qubit childTop = child.p->isTerminal() ? TERMINAL_LEVEL : child.p->v;
+    if (!identityBitsAgree(childTop, p->v)) {
+      return {0., 0.};
     }
     amp *= child.w.toValue();
     p = child.p;
@@ -814,24 +781,14 @@ mEdge Package::partialTrace(const mEdge& a,
   const DDOpSpan span("partialTrace");
   const auto rootSpan =
       a.isTerminal() ? 0 : static_cast<std::size_t>(a.p->v) + 1;
-  std::size_t n = rootSpan;
-  if (idMode == IdentityMode::Strip) {
-    // The mask declares the span: skipped top levels are real (identity)
-    // qubits and tracing one of them out doubles the result.
-    n = eliminate.size();
-    if (rootSpan > n) {
-      throw std::invalid_argument("partialTrace: eliminate mask too short");
-    }
-    if (n == 0) {
-      return a;
-    }
-  } else {
-    if (a.isTerminal()) {
-      return a;
-    }
-    if (eliminate.size() < n) {
-      throw std::invalid_argument("partialTrace: eliminate mask too short");
-    }
+  // The mask declares the span: skipped top levels are real (identity)
+  // qubits and tracing one of them out doubles the result.
+  const std::size_t n = eliminate.size();
+  if (rootSpan > n) {
+    throw std::invalid_argument("partialTrace: eliminate mask too short");
+  }
+  if (n == 0) {
+    return a;
   }
   // new level of each kept qubit = number of kept qubits below it
   std::vector<Qubit> levelMap(n, TERMINAL_LEVEL);
@@ -968,15 +925,13 @@ vEdge Package::permuteQubits(const vEdge& e,
 mEdge Package::permuteQubits(const mEdge& e,
                              const std::vector<Qubit>& permutation) {
   if (e.isTerminal()) {
-    // identity (Strip) or scalar (Materialize): invariant under relabeling
+    // a scaled identity: invariant under relabeling
     return e;
   }
   const auto rootSpan = static_cast<std::size_t>(e.p->v) + 1;
-  // Under Strip, the permutation's size declares the span; it may exceed
-  // the root level (skipped top levels permute trivially). Materialized
-  // matrices must match exactly, as before.
-  const std::size_t n =
-      idMode == IdentityMode::Strip ? permutation.size() : rootSpan;
+  // The permutation's size declares the span; it may exceed the root level
+  // (skipped top levels permute trivially).
+  const std::size_t n = permutation.size();
   if (n < rootSpan) {
     throw std::invalid_argument("permuteQubits: permutation size mismatch");
   }

@@ -65,7 +65,6 @@ void serializeImpl(const Edge<Node>& root, std::ostream& os, const char* kind,
 
 struct ParsedDD {
   int version = 1;
-  long span = -1; ///< declared qubit span (matrix v2), -1 if absent
   long rootId = -1;
   ComplexValue rootWeight;
   struct NodeLine {
@@ -94,7 +93,10 @@ ParsedDD parseBody(std::istream& is, const char* kind, std::size_t radix,
     if (dd.version < 2) {
       malformed("span line requires version 2");
     }
-    if (!(is >> dd.span) || dd.span < 0) {
+    // Levels between the root and the span are implicit identity, so the
+    // declared span is only validated.
+    long span = -1;
+    if (!(is >> span) || span < 0) {
       malformed("bad span line");
     }
     if (!(is >> word)) {
@@ -132,16 +134,6 @@ ParsedDD parseBody(std::istream& is, const char* kind, std::size_t radix,
     dd.nodes.push_back(std::move(line));
   }
   malformed("missing 'end'");
-}
-
-/// Wraps `e` in explicit identity levels up to (excluding) `to`, so a
-/// Materialize-mode package can ingest identity-skipping (v2) input.
-mEdge padIdentity(Package& pkg, mEdge e, Qubit to) {
-  const Qubit from = e.isTerminal() ? 0 : static_cast<Qubit>(e.p->v + 1);
-  for (Qubit lev = from; lev < to; ++lev) {
-    e = pkg.makeMatNode(lev, {e, mEdge::zero(), mEdge::zero(), e});
-  }
-  return e;
 }
 
 } // namespace
@@ -221,17 +213,10 @@ vEdge deserializeVector(Package& pkg, std::istream& is) {
 
 mEdge deserializeMatrix(Package& pkg, std::istream& is) {
   const ParsedDD dd = parseBody(is, "qdd-matrix", 4, 2);
-  const bool materialize = pkg.identityMode() == IdentityMode::Materialize;
   if (dd.rootId == -1) {
-    mEdge root = dd.rootWeight.exactlyZero()
-                     ? mEdge::zero()
-                     : mEdge::terminal(pkg.lookup(dd.rootWeight));
-    if (materialize && dd.span > 0 && !root.w.exactlyZero()) {
-      // v2 terminal root = identity on `span` qubits
-      pkg.resize(static_cast<std::size_t>(dd.span));
-      root = padIdentity(pkg, root, static_cast<Qubit>(dd.span));
-    }
-    return root;
+    return dd.rootWeight.exactlyZero()
+               ? mEdge::zero()
+               : mEdge::terminal(pkg.lookup(dd.rootWeight));
   }
   std::map<long, mEdge> built;
   for (const auto& line : dd.nodes) {
@@ -254,10 +239,6 @@ mEdge deserializeMatrix(Package& pkg, std::istream& is) {
         child = it->second;
         child.w = pkg.lookup(child.w.toValue() * w);
       }
-      if (materialize && !child.w.exactlyZero()) {
-        // re-expand any level gap the (v2) input skipped
-        child = padIdentity(pkg, child, line.level);
-      }
       children[k] = child;
     }
     if (built.contains(line.id)) {
@@ -271,10 +252,6 @@ mEdge deserializeMatrix(Package& pkg, std::istream& is) {
   }
   mEdge root = it->second;
   root.w = pkg.lookup(root.w.toValue() * dd.rootWeight);
-  if (materialize && dd.span > 0 && !root.w.exactlyZero()) {
-    pkg.resize(static_cast<std::size_t>(dd.span));
-    root = padIdentity(pkg, root, static_cast<Qubit>(dd.span));
-  }
   return root;
 }
 

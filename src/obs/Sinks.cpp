@@ -244,45 +244,6 @@ void ChromeTraceSink::writeFile(const std::string& path) const {
   }
 }
 
-// --- JsonlSink --------------------------------------------------------------
-
-void JsonlSink::onSpan(const SpanRecord& span) {
-  out << "{\"type\":\"span\",\"cat\":\"" << json::escape(span.category)
-      << "\",\"name\":\"" << json::escape(span.name)
-      << "\",\"ts\":" << formatDouble(span.startUs)
-      << ",\"dur\":" << formatDouble(span.durUs) << ",\"depth\":" << span.depth
-      << ",\"tid\":" << span.tid;
-  const std::string trace = traceHex(span.traceHi, span.traceLo);
-  if (!trace.empty()) {
-    out << ",\"traceId\":\"" << trace << "\"";
-  }
-  if (!span.args.empty()) {
-    out << ",\"args\":" << argsJson(span.args);
-  }
-  out << "}\n";
-}
-
-void JsonlSink::onCounter(const CounterRecord& counter) {
-  out << "{\"type\":\"counter\",\"name\":\"" << json::escape(counter.name)
-      << "\",\"ts\":" << formatDouble(counter.tsUs)
-      << ",\"value\":" << formatDouble(counter.value)
-      << ",\"tid\":" << counter.tid;
-  const std::string trace = traceHex(counter.traceHi, counter.traceLo);
-  if (!trace.empty()) {
-    out << ",\"traceId\":\"" << trace << "\"";
-  }
-  out << "}\n";
-}
-
-void JsonlSink::onStep(const StepMetrics& step) {
-  out << "{\"type\":\"step\",\"ts\":" << formatDouble(step.tsUs)
-      << ",\"tid\":" << step.tid << ",\"args\":"
-      << argsJson(stepArgs(step))
-      << ",\"nodesPerLevel\":" << levelsJson(step.nodesPerLevel) << "}\n";
-}
-
-void JsonlSink::flush() { out.flush(); }
-
 // --- AggregatorSink ---------------------------------------------------------
 
 AggregatorSink::Bucket& AggregatorSink::resolve(const SpanRecord& span) {

@@ -729,7 +729,9 @@ HttpResponse Api::metricsDoc(const HttpRequest& request) {
   }
 
   json::Value doc = json::Value::object();
-  doc.set("service", metrics.toJson());
+  json::Value serviceDoc = metrics.toJson();
+  serviceDoc.set("sessionsEvicted", num(store.evicted()));
+  doc.set("service", std::move(serviceDoc));
 
   json::Value sess = json::Value::object();
   sess.set("live", num(store.size()));
@@ -765,6 +767,10 @@ std::string Api::prometheusDoc() const {
                "Sessions currently stored.");
   prom::sample(out, "qdd_sessions_live", "",
                static_cast<double>(store.size()));
+  prom::family(out, "qdd_sessions_evicted_total", "counter",
+               "Sessions evicted by the TTL sweeper.");
+  prom::sample(out, "qdd_sessions_evicted_total", "",
+               static_cast<double>(store.evicted()));
   prom::family(out, "qdd_sessions_capacity", "gauge",
                "Session admission cap.");
   prom::sample(out, "qdd_sessions_capacity", "",

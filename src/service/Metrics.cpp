@@ -98,11 +98,6 @@ std::size_t ServiceMetrics::sessionsCreated() const {
   return sessionsCreatedN;
 }
 
-std::size_t ServiceMetrics::sessionsEvicted() const {
-  const std::lock_guard<std::mutex> lock(mutex);
-  return sessionsEvictedN;
-}
-
 std::size_t ServiceMetrics::drainRejected() const {
   const std::lock_guard<std::mutex> lock(mutex);
   return drainRejectedN;
@@ -135,8 +130,6 @@ json::Value ServiceMetrics::toJson() const {
 
   doc.set("sessionsCreated",
           json::Value::number(static_cast<double>(sessionsCreatedN)));
-  doc.set("sessionsEvicted",
-          json::Value::number(static_cast<double>(sessionsEvictedN)));
   doc.set("deadlineTimeouts",
           json::Value::number(static_cast<double>(deadlineTimeoutsN)));
   doc.set("drainRejected",
@@ -205,10 +198,6 @@ std::string ServiceMetrics::prometheus() const {
                "Sessions ever created.");
   prom::sample(out, "qdd_sessions_created_total", "",
                static_cast<double>(sessionsCreatedN));
-  prom::family(out, "qdd_sessions_evicted_total", "counter",
-               "Sessions evicted by the TTL sweeper.");
-  prom::sample(out, "qdd_sessions_evicted_total", "",
-               static_cast<double>(sessionsEvictedN));
   prom::family(out, "qdd_deadline_timeouts_total", "counter",
                "Requests stopped by an expired deadline (408).");
   prom::sample(out, "qdd_deadline_timeouts_total", "",

@@ -71,7 +71,7 @@ int SimulationSession::chooseOutcome(Qubit q, double p1) {
 
 void SimulationSession::applyUnitary(const ir::Operation& op) {
   const vEdge next =
-      bridge::applyOperation(op, qc.numQubits(), current, pkg, mode, &cache);
+      bridge::applyOperation(op, qc.numQubits(), current, pkg, &cache);
   pkg.incRef(next);
   pkg.decRef(current);
   current = next;

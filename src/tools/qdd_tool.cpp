@@ -406,12 +406,11 @@ int runProfile(const std::string& path) {
                 path.c_str(), qc.numQubits(), qc.size(), session.peakNodes());
     const mem::ApplyPathStats& apply = pkg.applyPathCounters();
     const bridge::GateDDCache& gateCache = session.gateCache();
-    std::printf("apply path (%s): %zu kernel calls (%zu diagonal, %zu "
+    std::printf("apply path: %zu kernel calls (%zu diagonal, %zu "
                 "permutation, %zu generic), %zu fallback -> %.1f%% fast-path "
                 "coverage\n",
-                bridge::toString(session.applyMode()).c_str(), apply.fast(),
-                apply.diagonal, apply.permutation, apply.generic,
-                apply.fallback, apply.coverage() * 100.);
+                apply.fast(), apply.diagonal, apply.permutation,
+                apply.generic, apply.fallback, apply.coverage() * 100.);
     if (gateCache.lookups() > 0) {
       std::printf("gate-DD cache: %zu lookups, %zu hits (%.1f%%), %zu "
                   "entries\n",

@@ -141,9 +141,7 @@ EquivalenceChecker::checkAlternating(Package& pkg, Strategy strategy,
 
   // One gate-DD cache shared across the whole alternating run: the scheme
   // applies the same gate set from both sides, so left-side entries pay off
-  // again on the right (and vice versa for self-inverse gates). Disabled
-  // under the QDD_APPLY=general ablation to keep that baseline pristine.
-  const bool useCache = bridge::globalApplyMode() != bridge::ApplyMode::General;
+  // again on the right (and vice versa for self-inverse gates).
   bridge::GateDDCache gateCache(pkg);
 
   mEdge e = pkg.makeIdent(n);
@@ -173,9 +171,7 @@ EquivalenceChecker::checkAlternating(Package& pkg, Strategy strategy,
     iteration.arg("nodes", nodes);
   };
   const auto applyFromLeft = [&] {
-    const mEdge gate = useCache ? gateCache.getDD(*first[i1], n)
-                                : bridge::getDD(*first[i1], n, pkg);
-    const mEdge next = pkg.multiply(gate, e);
+    const mEdge next = pkg.multiply(gateCache.getDD(*first[i1], n), e);
     pkg.incRef(next);
     pkg.decRef(e);
     e = next;
@@ -183,9 +179,7 @@ EquivalenceChecker::checkAlternating(Package& pkg, Strategy strategy,
     record("left", i1 - 1);
   };
   const auto applyFromRight = [&] {
-    const mEdge gate = useCache ? gateCache.getInverseDD(*second[i2], n)
-                                : bridge::getInverseDD(*second[i2], n, pkg);
-    const mEdge next = pkg.multiply(e, gate);
+    const mEdge next = pkg.multiply(e, gateCache.getInverseDD(*second[i2], n));
     pkg.incRef(next);
     pkg.decRef(e);
     e = next;

@@ -1,10 +1,10 @@
 #include "qdd/viz/DotExporter.hpp"
 
+#include "qdd/common/NumberFormat.hpp"
 #include "qdd/viz/Color.hpp"
 
 #include <cmath>
 #include <fstream>
-#include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -13,30 +13,24 @@ namespace qdd::viz {
 
 namespace {
 
-std::string weightLabel(const ComplexValue& w, int precision) {
-  // recognize the ubiquitous 1/sqrt(2)^k magnitudes for compact labels
-  std::ostringstream ss;
-  ss << std::setprecision(precision) << w.toString(precision);
-  return ss.str();
-}
-
 bool weightIsOne(const ComplexValue& w) {
   return w.re == 1. && w.im == 0.;
 }
 
 std::string edgeAttributes(const ComplexValue& w, const ExportOptions& opts,
                            std::size_t skipped = 0) {
-  std::ostringstream ss;
-  bool first = true;
-  const auto add = [&](const std::string& attr) {
-    ss << (first ? "" : ", ") << attr;
-    first = false;
+  std::string attrs;
+  const auto add = [&attrs](const std::string& attr) {
+    if (!attrs.empty()) {
+      attrs += ", ";
+    }
+    attrs += attr;
   };
   // identity-skipping edges carry an explicit (x)I^k marker so skipped
   // levels stay visible in the rendering (arXiv:2406.11959)
   std::string label;
   if (opts.edgeLabels && !weightIsOne(w)) {
-    label = weightLabel(w, opts.precision);
+    label = w.toString(opts.precision);
   }
   if (skipped > 0) {
     label += (label.empty() ? "" : " ") + std::string("(x)I^") +
@@ -54,14 +48,14 @@ std::string edgeAttributes(const ComplexValue& w, const ExportOptions& opts,
     add("color=\"" + weightToColor(w).toHex() + "\"");
   }
   if (opts.magnitudeThickness) {
-    std::ostringstream pw;
-    pw << std::setprecision(3) << magnitudeToThickness(w.mag());
-    add("penwidth=" + pw.str());
+    std::string penwidth = "penwidth=";
+    appendGeneral(penwidth, magnitudeToThickness(w.mag()), 3);
+    add(penwidth);
   }
-  if (first) {
+  if (attrs.empty()) {
     return "";
   }
-  return " [" + ss.str() + "]";
+  return " [" + attrs + "]";
 }
 
 } // namespace

@@ -1,5 +1,6 @@
 #include "qdd/viz/SvgExporter.hpp"
 
+#include "qdd/common/NumberFormat.hpp"
 #include "qdd/viz/Color.hpp"
 
 #include <algorithm>
@@ -25,11 +26,9 @@ struct Placed {
 };
 
 std::string fmt(double v) {
-  std::ostringstream ss;
-  ss << std::fixed;
-  ss.precision(1);
-  ss << v;
-  return ss.str();
+  std::string out;
+  appendFixed(out, v, 1);
+  return out;
 }
 
 } // namespace

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -183,31 +182,6 @@ TEST_F(ObsTest, AggregatorTracksGcPauses) {
   agg->onSpan(gc);
   ASSERT_EQ(agg->gcPausesUs().size(), 1U);
   EXPECT_DOUBLE_EQ(agg->gcPausesUs()[0], 123.);
-}
-
-TEST_F(ObsTest, JsonlSinkEmitsOneObjectPerLine) {
-  std::ostringstream out;
-  auto jsonl = std::make_shared<obs::JsonlSink>(out);
-  obs::Registry::instance().addSink(jsonl);
-  obs::Registry::instance().setEnabled(true);
-  {
-    obs::ScopedSpan span("test", "line");
-    span.arg("n", std::size_t{3});
-  }
-  QDD_OBS_COUNTER("test.counter", 1);
-  obs::Registry::instance().flush();
-
-  std::istringstream in(out.str());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-  }
-  EXPECT_EQ(lines, 2U);
-  EXPECT_NE(out.str().find("\"type\":\"span\""), std::string::npos);
-  EXPECT_NE(out.str().find("\"type\":\"counter\""), std::string::npos);
 }
 
 TEST_F(ObsTest, ChromeTraceFromRealSimulationValidates) {

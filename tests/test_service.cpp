@@ -340,6 +340,14 @@ TEST(ServiceApiTest, IdleSessionsAreEvicted) {
   EXPECT_TRUE(parsed(list).find("sessions")->asArray().empty());
   EXPECT_EQ(ts.api->sessions().evicted(), 1U);
   EXPECT_EQ(client.request("GET", "/v1/sessions/s1").status, 404);
+  // both /metrics formats report the store's count
+  EXPECT_EQ(parsed(client.request("GET", "/metrics"))
+                .find("service")
+                ->getNumber("sessionsEvicted", -1),
+            1.);
+  EXPECT_NE(client.request("GET", "/metrics?fmt=prom")
+                .body.find("\nqdd_sessions_evicted_total 1\n"),
+            std::string::npos);
 }
 
 // --- deadlines ---------------------------------------------------------------

@@ -238,8 +238,11 @@ TEST(WireGoldens, ResponseBodiesMatchTheRecordedBytes) {
 
 // --- the number primitive ----------------------------------------------------
 
-std::string streamFormat(double v, int precision) {
+std::string streamFormat(double v, int precision, bool fixed = false) {
   std::ostringstream ss;
+  if (fixed) {
+    ss << std::fixed;
+  }
   ss << std::setprecision(precision) << v;
   return ss.str();
 }
@@ -304,6 +307,14 @@ TEST(WireFormat, GeneralFormatMatchesTheStream) {
           << "precision " << precision << ", value " << std::hexfloat << v;
       ASSERT_EQ(out[0], 'x');
     }
+  }
+  // the fixed format of the SVG coordinates
+  for (const double v : values) {
+    std::string out = "x";
+    appendFixed(out, v, 1);
+    ASSERT_EQ(out.substr(1), streamFormat(v, 1, true))
+        << "fixed, value " << std::hexfloat << v;
+    ASSERT_EQ(out[0], 'x');
   }
 }
 
